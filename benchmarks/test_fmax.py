@@ -9,15 +9,20 @@ benchmark size, and property-tested across synthetic designs in
 ``tests/test_fmax.py``.
 
 The acceptance claim is analytic >= 10x faster than bisection at 250
-chips.  The engine-anchored combined solver (``solve_fmax``) is timed
-alongside for reference — it pays for engine confirmation, so it tracks
-the bisection cost, but with fewer engine runs (Newton jumps off the
-static slope).  Headline numbers land in ``BENCH_fmax.json``.
+chips.  Both solvers are timed in interleaved rounds (alternating which
+runs first) and compared on their median CPU times, so a burst of
+scheduler noise or a slow spell of the host lands on both sides.  The
+time ratio is backed by deterministic counts: the engine runs of
+bisection and of the engine-anchored combined solver (``solve_fmax``,
+timed once for reference — it pays for engine confirmation, so it tracks
+the bisection cost, but with fewer engine runs thanks to Newton jumps off
+the static slope).  Headline numbers land in ``BENCH_fmax.json``.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -27,17 +32,16 @@ from repro.workloads.synth import SynthConfig, generate
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_fmax.json"
 
 CHIPS = 250
+ROUNDS = 5
+#: Engine runs each solver needs on the benchmark design (deterministic).
+BISECT_ENGINE_RUNS = 18
+ANCHORED_ENGINE_RUNS = 14
 
 
-def _best_of(n: int, fn):
-    """Best wall time of ``n`` runs (robust to scheduler noise)."""
-    best, result = None, None
-    for _ in range(n):
-        t0 = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - t0
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
+def _cpu_timed(fn):
+    t0 = time.process_time()
+    result = fn()
+    return time.process_time() - t0, result
 
 
 def test_fmax_speedup(benchmark, report):
@@ -45,13 +49,26 @@ def test_fmax_speedup(benchmark, report):
         SynthConfig(chips=CHIPS, seed=7, stage_chips=400)
     ).circuit()
 
-    bisect_s, oracle = _best_of(2, lambda: bisect_fmax(circuit))
-    anchored_s, anchored = _best_of(1, lambda: solve_fmax(circuit))
+    solvers = {
+        "bisect": lambda: bisect_fmax(circuit),
+        "analytic": lambda: solve_static_fmax(circuit),
+    }
+    times: dict[str, list[float]] = {name: [] for name in solvers}
+    results: dict[str, object] = {}
 
-    static = benchmark.pedantic(
-        lambda: solve_static_fmax(circuit), rounds=5, iterations=1
-    )
-    analytic_s = min(benchmark.stats.stats.data)
+    def one_round():
+        names = list(solvers)
+        if len(times["bisect"]) % 2:
+            names.reverse()
+        for name in names:
+            elapsed, results[name] = _cpu_timed(solvers[name])
+            times[name].append(elapsed)
+
+    benchmark.pedantic(one_round, rounds=ROUNDS, iterations=1)
+    bisect_s = statistics.median(times["bisect"])
+    analytic_s = statistics.median(times["analytic"])
+    oracle, static = results["bisect"], results["analytic"]
+    anchored_s, anchored = _cpu_timed(lambda: solve_fmax(circuit))
 
     # Both oracles must be period-limited here and agree exactly.
     assert oracle.period_limited and oracle.period_ps is not None
@@ -62,16 +79,14 @@ def test_fmax_speedup(benchmark, report):
     assert static.period_ps >= oracle.period_ps
     assert static.binding is not None
 
-    ratio = bisect_s / analytic_s
-    assert ratio >= 10.0, (
-        f"analytic Fmax must be >= 10x faster than engine bisection: "
-        f"{analytic_s * 1e3:.1f} ms vs {bisect_s * 1e3:.1f} ms "
-        f"({ratio:.1f}x)"
-    )
+    assert oracle.engine_runs == BISECT_ENGINE_RUNS
+    assert anchored.engine_runs == ANCHORED_ENGINE_RUNS
 
+    ratio = bisect_s / analytic_s
     rows = [
         f"design: {CHIPS} chips; engine Fmax boundary {oracle.period_ps} ps, "
         f"static root {static.period_ps} ps",
+        f"median CPU of {ROUNDS} interleaved rounds (anchored: one run)",
         f"analytic (parametric pass + confirm): {analytic_s * 1e3:9.1f} ms"
         f"  ({static.passes} parametric, {static.static_evals} static evals)",
         f"engine bisection:                     {bisect_s * 1e3:9.1f} ms"
@@ -86,9 +101,12 @@ def test_fmax_speedup(benchmark, report):
         json.dumps(
             {
                 "chips": CHIPS,
+                "timing": f"median CPU seconds of {ROUNDS} interleaved rounds",
                 "analytic_seconds": analytic_s,
                 "anchored_seconds": anchored_s,
                 "bisect_seconds": bisect_s,
+                "analytic_rounds": times["analytic"],
+                "bisect_rounds": times["bisect"],
                 "speedup_vs_bisect": ratio,
                 "engine_period_ps": oracle.period_ps,
                 "static_period_ps": static.period_ps,
@@ -99,4 +117,11 @@ def test_fmax_speedup(benchmark, report):
             indent=2,
         )
         + "\n"
+    )
+
+    # Recorded above whether or not the claim holds on this host.
+    assert ratio >= 10.0, (
+        f"analytic Fmax must be >= 10x faster than engine bisection: "
+        f"{analytic_s * 1e3:.1f} ms vs {bisect_s * 1e3:.1f} ms "
+        f"({ratio:.1f}x)"
     )

@@ -11,6 +11,7 @@ Defaults reproduce the rules used to examine the S-1 Mark IIA:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .timeline import ns_to_ps
 
@@ -66,11 +67,16 @@ class VerifyConfig:
             memoize_evaluation=False,
         )
 
-    @property
+    # Converted once per instance: the engine reads these on every
+    # wire-delay lookup.  ``cached_property`` writes the instance
+    # ``__dict__`` directly, which a frozen dataclass allows; ``replace``
+    # builds a fresh instance, so a cached value never outlives its fields.
+
+    @cached_property
     def wire_delay_per_load_ps(self) -> int:
         return ns_to_ps(self.wire_delay_per_load_ns)
 
-    @property
+    @cached_property
     def default_wire_delay_ps(self) -> tuple[int, int]:
         lo, hi = self.default_wire_delay_ns
         return ns_to_ps(lo), ns_to_ps(hi)

@@ -43,6 +43,11 @@ class ExpanderStats:
     primitives: int = 0
     synonyms: int = 0
     max_depth: int = 0
+    #: Expression evaluations in both passes (subscripts, size parameters
+    #: and property values), and the distinct expression texts among them;
+    #: each distinct text is parsed once, each evaluation walks its tree.
+    expressions: int = 0
+    expression_texts: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -62,6 +67,10 @@ class ExpanderStats:
         lines.append(
             f"  macro calls: {self.macro_calls}, primitives: {self.primitives}, "
             f"synonyms resolved: {self.synonyms}, max depth: {self.max_depth}"
+        )
+        lines.append(
+            f"  expressions evaluated: {self.expressions}, "
+            f"distinct expression texts: {self.expression_texts}"
         )
         return "\n".join(lines)
 
@@ -99,6 +108,7 @@ class MacroExpander:
         self.design = design
         self.stats = ExpanderStats()
         self._synonym_pairs: list[tuple[str, str]] = []
+        self._expression_texts: set[str] = set()
 
     # ------------------------------------------------------------------
     # public API
@@ -130,6 +140,7 @@ class MacroExpander:
         t0 = time.perf_counter()
         circuit = self._pass2()
         self.stats.pass2_seconds = time.perf_counter() - t0
+        self.stats.expression_texts = len(self._expression_texts)
         return circuit
 
     @property
@@ -146,6 +157,8 @@ class MacroExpander:
         self.stats.macro_calls = 0
         self.stats.primitives = 0
         self.stats.max_depth = 0
+        self.stats.expressions = 0
+        self._expression_texts.clear()
         for stmt in self.design.top:
             self._walk(stmt, _Scope(path=""), depth=0, emit=None)
         self.stats.synonyms = len(self._synonym_pairs)
@@ -332,6 +345,8 @@ class MacroExpander:
     ) -> int:
         if sub is None:
             return 1
+        self.stats.expressions += 2
+        self._expression_texts.update(sub)
         try:
             lo = evaluate_int(sub[0], scope.params)
             hi = evaluate_int(sub[1], scope.params)
@@ -340,6 +355,8 @@ class MacroExpander:
         return abs(hi - lo) + 1
 
     def _eval_number(self, text: str, scope: _Scope, line: int) -> float | int:
+        self.stats.expressions += 1
+        self._expression_texts.add(text)
         try:
             return evaluate(text, scope.params)
         except ExpressionError as exc:

@@ -188,11 +188,16 @@ class Parser:
     def _peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
+    def _last_line(self) -> int:
+        """Line of the last token read (1 before any), for errors at EOF."""
+        return self.tokens[self.pos - 1].line if self.pos else 1
+
     def _take(self) -> Token:
         tok = self._peek()
         if tok is None:
-            last_line = self.tokens[-1].line if self.tokens else 1
-            raise ScaldSyntaxError("unexpected end of input", last_line, self.filename)
+            raise ScaldSyntaxError(
+                "unexpected end of input", self._last_line(), self.filename
+            )
         self.pos += 1
         return tok
 
@@ -385,7 +390,9 @@ class Parser:
         while True:
             tok = self._peek()
             if tok is None:
-                raise ScaldSyntaxError("unterminated expression", 0, self.filename)
+                raise ScaldSyntaxError(
+                    "unterminated expression", self._last_line(), self.filename
+                )
             if tok.kind == "sym":
                 if depth == 0 and tok.text in stop:
                     break
@@ -402,11 +409,9 @@ class Parser:
             parts.append(tok.text)
             self._take()
         if not parts:
-            tok = self._peek()
+            tok = self._peek()  # the loop stops at a token, never at EOF
             raise ScaldSyntaxError(
-                f"expected expression before {tok.text if tok else 'EOF'!r}",
-                tok.line if tok else 0,
-                self.filename,
+                f"expected expression before {tok.text!r}", tok.line, self.filename
             )
         return " ".join(parts)
 
@@ -443,7 +448,9 @@ class Parser:
         while True:
             tok = self._peek()
             if tok is None:
-                raise ScaldSyntaxError("unterminated property", 0, self.filename)
+                raise ScaldSyntaxError(
+                    "unterminated property", self._last_line(), self.filename
+                )
             if tok.kind == "sym":
                 if depth == 0 and tok.text in (";", ":", ","):
                     break
@@ -468,11 +475,9 @@ class Parser:
             parts.append(tok.text)
             self._take()
         if not parts:
-            tok = self._peek()
+            tok = self._peek()  # the loop stops at a token, never at EOF
             raise ScaldSyntaxError(
-                f"expected property value before {tok.text if tok else 'EOF'!r}",
-                tok.line if tok else 0,
-                self.filename,
+                f"expected property value before {tok.text!r}", tok.line, self.filename
             )
         return " ".join(parts)
 

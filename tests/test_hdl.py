@@ -1,9 +1,18 @@
 """Tests for the SCALD HDL: expressions, parser, and macro expander."""
 
-import pytest
+from pathlib import Path
 
-from repro.hdl.expander import ExpansionError, MacroExpander, expand_source
-from repro.hdl.expr import ExpressionError, evaluate, evaluate_int
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.hdl.expander import (
+    ExpansionError,
+    MacroExpander,
+    expand_file,
+    expand_source,
+)
+from repro.hdl.expr import ExpressionError, compile_expr, evaluate, evaluate_int
 from repro.hdl.parser import ScaldSyntaxError, parse
 
 
@@ -38,6 +47,91 @@ class TestExpressions:
             evaluate("(2")
         with pytest.raises(ExpressionError):
             evaluate("2 3")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "unexpected end of expression"),
+            ("(1", "unexpected end of expression"),
+            ("(1 2", "missing closing parenthesis"),
+            ("1 2", "trailing input in expression '1 2'"),
+            ("*2", "unexpected token '*'"),
+            ("1 $", "bad character in expression '1 $' at 1"),
+            ("4/0", "division by zero in expression"),
+            ("1/(2-2)", "division by zero in expression"),
+            ("W", "unknown parameter 'W'"),
+            # Parsing precedes evaluation: a malformed text reports its
+            # syntax error even when it also names an unknown parameter.
+            ("W +", "unexpected end of expression"),
+        ],
+    )
+    def test_rejected_inputs(self, text, message):
+        with pytest.raises(ExpressionError) as info:
+            evaluate(text, {})
+        assert str(info.value) == message
+
+    def test_compile_cache_is_bounded(self):
+        maxsize = compile_expr.cache_info().maxsize
+        assert maxsize is not None
+        for i in range(maxsize + 10):
+            compile_expr(f"{i} + N")
+        assert compile_expr.cache_info().currsize == maxsize
+
+    def test_one_tree_serves_every_binding(self):
+        assert compile_expr("SIZE - 1") is compile_expr("SIZE - 1")
+        assert [evaluate("SIZE - 1", {"SIZE": n}) for n in (1, 8, 32)] == [0, 7, 31]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_python_arithmetic(self, data):
+        """Random well-formed texts evaluate as Python evaluates them.
+
+        Divisors are single atoms, so magnitudes stay far inside the range
+        where floats hold integers exactly and the evaluator's
+        integral-quotient-to-int rule cannot change a later result.
+        """
+        env = data.draw(
+            st.fixed_dictionaries(
+                {
+                    name: st.integers(0, 50) | st.sampled_from([0.5, 2.25, 7.0])
+                    for name in ("A", "B", "SIZE")
+                }
+            )
+        )
+        text = data.draw(_EXPRESSIONS)
+        try:
+            want = eval(text, {"__builtins__": {}}, dict(env))  # noqa: S307
+        except ZeroDivisionError:
+            with pytest.raises(ExpressionError, match="division by zero"):
+                evaluate(text, env)
+            return
+        assert evaluate(text, env) == want
+        assert evaluate(text.replace(" ", ""), env) == want
+        if float(want).is_integer():
+            assert evaluate_int(text, env) == want
+        else:
+            with pytest.raises(ExpressionError, match="not an integer"):
+                evaluate_int(text, env)
+
+
+_ATOMS = (
+    st.integers(0, 50).map(str)
+    | st.builds("{}.{}".format, st.integers(0, 50), st.integers(0, 99))
+    | st.sampled_from(["A", "B", "SIZE"])
+)
+
+
+def _extend(inner):
+    binary = st.builds(
+        "{} {} {}".format, inner, st.sampled_from("+-*"), inner
+    )
+    divide = st.builds("{} / {}".format, inner, _ATOMS)
+    negate = st.builds("- {}".format, inner)
+    node = binary | divide | negate
+    return node | node.map("( {} )".format)
+
+
+_EXPRESSIONS = st.recursive(_ATOMS, _extend, max_leaves=6)
 
 
 HEADER = "design T; period 50 ns; clock_unit 6.25 ns;\n"
@@ -110,6 +204,12 @@ class TestParser:
     def test_syntax_error_carries_line(self):
         with pytest.raises(ScaldSyntaxError, match=":2"):
             parse("design T;\n???")
+
+    def test_expression_cut_off_by_eof_reports_last_line(self):
+        with pytest.raises(ScaldSyntaxError, match=r"^x\.scald:2: unterminated expression"):
+            parse('design X;\nprim REG r (OUT="Q"<0:', "x.scald")
+        with pytest.raises(ScaldSyntaxError, match=r"^x\.scald:3: unterminated property"):
+            parse('design X;\nprim REG r (OUT="Q")\n  delay=', "x.scald")
 
     def test_unterminated_macro(self):
         with pytest.raises(ScaldSyntaxError):
@@ -312,3 +412,10 @@ class TestExpander:
         circuit, _ = expand_source(src)
         result = TimingVerifier(circuit).verify()
         assert any(v.kind.value == "setup" for v in result.violations)
+
+    def test_expression_counters(self):
+        """Every expression use is counted; each distinct text compiles once."""
+        shifter = Path(__file__).resolve().parent.parent / "examples/designs/shifter.scald"
+        _, stats = expand_file(str(shifter))
+        assert (stats.expressions, stats.expression_texts) == (236, 13)
+        assert "expressions evaluated: 236, distinct expression texts: 13" in stats.table()

@@ -1,9 +1,14 @@
 """Tests for the time model (sections 2.2 and 2.3)."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import config as config_module
+from repro.core.config import EXACT, VerifyConfig
 from repro.core.timeline import (
     Timebase,
     circular_distance_forward,
@@ -123,3 +128,36 @@ class TestIntervalHelpers:
         assert circular_distance_forward(90, 10, 100) == 20
         assert circular_distance_forward(10, 90, 100) == 80
         assert circular_distance_forward(10, 10, 100) == 0
+
+
+class TestConfigConversion:
+    """``VerifyConfig``'s ps forms are converted once, and stay correct."""
+
+    @staticmethod
+    def _assert_converted(config: VerifyConfig) -> None:
+        lo, hi = config.default_wire_delay_ns
+        assert config.default_wire_delay_ps == (ns_to_ps(lo), ns_to_ps(hi))
+        assert config.wire_delay_per_load_ps == ns_to_ps(config.wire_delay_per_load_ns)
+
+    def test_variants_agree_with_ns_fields(self):
+        base = VerifyConfig(default_wire_delay_ns=(0.3, 2.7), wire_delay_per_load_ns=0.15)
+        base.default_wire_delay_ps, base.wire_delay_per_load_ps  # fill the cache
+        edited = replace(base, default_wire_delay_ns=(1.1, 4.4), wire_delay_per_load_ns=0.35)
+        variants = [base, edited, base.naive(), edited.naive(), EXACT, VerifyConfig()]
+        variants += [pickle.loads(pickle.dumps(c)) for c in variants]
+        for config in variants:
+            self._assert_converted(config)
+        assert edited.default_wire_delay_ps == (1_100, 4_400)
+        assert edited.wire_delay_per_load_ps == 350
+        assert EXACT.default_wire_delay_ps == (0, 0)
+        assert pickle.loads(pickle.dumps(base)) == base
+
+    def test_converted_once(self, monkeypatch):
+        config = VerifyConfig(wire_delay_per_load_ns=0.25)
+        first = (config.default_wire_delay_ps, config.wire_delay_per_load_ps)
+
+        def refuse(ns):
+            raise AssertionError("ns_to_ps called again")
+
+        monkeypatch.setattr(config_module, "ns_to_ps", refuse)
+        assert (config.default_wire_delay_ps, config.wire_delay_per_load_ps) == first
