@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 
 from repro.core.verifier import TimingVerifier
-from repro.workloads.ablation import bit_blast
+from repro.netlist.bitblast import bit_blast
 from repro.workloads.synth import SynthConfig, generate
 
 

@@ -154,8 +154,6 @@ def profile_json(result: "VerificationResult") -> dict:
             "waveforms_shipped": pl.waveforms_shipped,
             "waveform_refs": pl.waveform_refs,
             "snapshots_fetched": pl.snapshots_fetched,
-            "partitions": pl.partitions,
-            "boundary_rounds": pl.boundary_rounds,
         }
     return out
 
@@ -254,11 +252,6 @@ def profile_report(result: "VerificationResult") -> str:
             f"waveform(s) shipped (rest sent by reference), "
             f"{pl.snapshots_fetched} snapshot(s) fetched",
         ]
-        if pl.partitions:
-            lines.append(
-                f"  partitioned: {pl.partitions} partition(s), "
-                f"{pl.boundary_rounds} boundary exchange round(s)"
-            )
     return "\n".join(lines)
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import threading
 from http.client import HTTPConnection
@@ -243,6 +244,12 @@ class _Handler(BaseHTTPRequestHandler):
         jobs = body.get("jobs", 1)
         if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
             raise ServerError(400, "'jobs' must be a positive integer")
+        # Each job can fork a worker process; bound it by this host.
+        cpus = os.cpu_count() or 1
+        if jobs > cpus:
+            raise ServerError(
+                400, f"'jobs' must be at most {cpus} (CPU count)"
+            )
         if path is not None:
             session = Session.from_file(path, sdc=sdc_path, jobs=jobs)
             if sdc_source is not None:

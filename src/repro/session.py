@@ -234,14 +234,13 @@ class Session:
     def verify(self) -> VerificationResult:
         """A full verification: serial, or over the warm worker pool.
 
-        With ``jobs > 1`` the work is sharded over the session's
-        persistent pool — by case block when there are several cases, by
-        circuit partition when there is one — and the merged result is
-        byte-identical to the serial run (unique fixed point; see
-        ``repro.parallel``).  Small single-case circuits fall back to the
-        serial path.
+        With ``jobs > 1`` and several cases, the case axis is sharded
+        into contiguous blocks over the session's persistent pool, and the
+        merged result is byte-identical to the serial run (unique fixed
+        point; see ``repro.parallel``).  A single-case design has no case
+        axis and takes the serial path.
         """
-        if self._pool is not None:
+        if self._pool is not None and self._pool_viable():
             return self._verify_pooled()
         return self._verify_serial()
 
@@ -300,23 +299,18 @@ class Session:
         (the engine remains the authority either way).  Falls back to a
         full :meth:`verify` when the session has no converged state yet.
         """
-        if self.runs == 0 or (self._pool is None and not self._converged):
+        pooled = self._pool is not None and self._pool_viable()
+        if self.runs == 0 or not (pooled or self._converged):
             return IncrementalResult(result=self.verify(), incremental=False)
 
         pre = self._run_prescreen() if prescreen else None
 
-        if self._pool is not None and self._pool_viable():
+        if pooled:
             # Warm pooled re-verify: the shipped edits reconcile on each
             # worker's engine through the same incremental path serial
             # uses, so the reused pool is the incremental run.
             return IncrementalResult(
                 result=self._verify_pooled(), incremental=True, prescreen=pre
-            )
-        if not self._converged:
-            # Pool present but the design is too small to shard, and the
-            # parent engine never converged: a full serial run.
-            return IncrementalResult(
-                result=self._verify_serial(), incremental=False, prescreen=pre
             )
 
         phases = PhaseTimes()
@@ -443,35 +437,18 @@ class Session:
         return self._warnings
 
     def _pool_viable(self) -> bool:
-        """Can the pool shard this run (several cases, or a splittable
-        circuit)?  When not, the serial paths are the honest answer."""
-        from .parallel import case_blocks, plan_partition
+        """Does this run shard into more than one case block?  When not,
+        the serial paths are the honest answer."""
+        from .parallel import case_blocks
 
         cases = self.circuit.cases or [{}]
-        if len(case_blocks(len(cases), self.jobs)) > 1:
-            return True
-        engine = self.engine
-        if self._dirty.topology:
-            engine.rebuild_topology()
-        return plan_partition(self.circuit, engine, self.jobs) is not None
+        return len(case_blocks(len(cases), self.jobs)) > 1
 
     def _verify_pooled(self) -> VerificationResult:
-        from .parallel import case_blocks, plan_partition
+        from .parallel import case_blocks
 
         cases = self.circuit.cases or [{}]
-        blocks = case_blocks(len(cases), self.jobs)
-        if len(blocks) > 1:
-            return self._pooled_blocks(cases, blocks)
-        # One case: shard the circuit itself along rank boundaries.  The
-        # planner needs current topology; leave the dirty flag for the
-        # serial fallback (rebuilding twice is sound and cheap).
-        engine = self.engine
-        if self._dirty.topology:
-            engine.rebuild_topology()
-        plan = plan_partition(self.circuit, engine, self.jobs)
-        if plan is None:
-            return self._verify_serial()
-        return self._pooled_partition(cases[0], plan)
+        return self._pooled_blocks(cases, case_blocks(len(cases), self.jobs))
 
     def _pooled_blocks(self, cases, blocks) -> VerificationResult:
         """Contiguous case blocks, one per warm worker (§2.7 case axis)."""
@@ -525,80 +502,6 @@ class Session:
             phases_cpu=cpu,
             pool=pool,
         )
-        self.runs += 1
-        return result
-
-    def _pooled_partition(self, case, plan) -> VerificationResult:
-        """One case sharded across the circuit's rank-group partitions.
-
-        Workers converge their partitions exchanging boundary waveforms;
-        the parent then *adopts* the union of the converged values — a
-        fixed point of the whole circuit, hence (uniqueness) the serial
-        fixed point — and runs the checking pass itself, so violations
-        and listings are byte-identical to serial by construction.  The
-        parent engine ends up converged, exactly as after a serial run.
-        """
-        from .core.engine import EngineStats
-
-        pool = self._pool
-        phases, cpu = PhaseTimes(), PhaseTimes()
-        t0, c0 = time.perf_counter(), time.process_time()
-        warnings = self._structure_warnings()
-        engine = self.engine
-        self._dirty.clear()  # workers reconcile their own copies
-        engine.set_scope(None)
-        engine.initialize(case)
-        parent_build_wall = time.perf_counter() - t0
-        parent_build_cpu = time.process_time() - c0
-
-        t0 = time.perf_counter()
-        xref = list(engine.xref_assumed_stable)
-        phases.cross_reference = time.perf_counter() - t0
-
-        finals = pool.run_partition(case, plan)
-
-        t0, c0 = time.perf_counter(), time.process_time()
-        for fin in finals:
-            engine.adopt_values(fin.values)
-            engine._gating.update(fin.gating)
-        # The adopted union is the fixed point: re-evaluating any queued
-        # component would store the value it already has, so the worklist
-        # seeded by initialize/adoption is vacuous — drop it.
-        engine._queue.clear()
-        engine._heap.clear()
-        engine._queued.clear()
-        report = CheckReport()
-        report.extend(engine.check(case_index=0))
-        stats = EngineStats.merged(f.stats for f in finals)
-        stats.events_by_case = [stats.events]
-        engine.stats = stats
-        case_results = [
-            CaseResult(
-                index=0,
-                assignments=dict(case),
-                waveforms=engine.snapshot(),
-                events=stats.events,
-            )
-        ]
-        adopt_wall = time.perf_counter() - t0
-        adopt_cpu = time.process_time() - c0
-
-        phases.build = parent_build_wall + max(f.build_wall for f in finals)
-        cpu.build = parent_build_cpu + sum(f.build_cpu for f in finals)
-        phases.verify = max(f.verify_wall for f in finals) + adopt_wall
-        cpu.verify = sum(f.verify_cpu for f in finals) + adopt_cpu
-
-        result = self._package(
-            report,
-            case_results,
-            xref,
-            warnings,
-            phases,
-            stats=stats,
-            phases_cpu=cpu,
-            pool=pool,
-        )
-        self._converged = True
         self.runs += 1
         return result
 

@@ -1,20 +1,15 @@
 """Ablation transforms for the design-choice benchmarks.
 
-* :func:`bit_blast` — undo the vector-primitive symmetry of Table 3-2.
-  The transform itself now lives in :mod:`repro.netlist.bitblast` (it is
-  the word-level engine's differential oracle and the ``--bit-blast`` CLI
-  mode, not just an ablation); re-exported here for the benchmarks.
-
 * :func:`fold_all_skew` — undo the separate skew field of section 2.8 on a
   set of waveforms, reproducing the false minimum-pulse-width errors the
   field exists to prevent.
+
+The bit-blast ablation of Table 3-2 is :func:`repro.netlist.bit_blast`.
 """
 
 from __future__ import annotations
 
-from ..netlist.bitblast import bit_blast
-
-__all__ = ["bit_blast", "fold_all_skew"]
+__all__ = ["fold_all_skew"]
 
 
 def fold_all_skew(waveforms: dict[str, object]) -> dict[str, object]:

@@ -112,17 +112,16 @@ class TestSerialParallelEquivalence:
         serial = TimingVerifier(circuit).verify()
         par = verify_parallel(circuit, jobs=8)
         assert_equivalent(serial, par)
+        # One worker per case block: no idle forks holding the circuit.
+        assert par.pool.workers == 2
 
-    def test_single_case_partitions_the_circuit(self):
+    def test_single_case_runs_serial(self):
         circuit, _ = generate(SynthConfig(chips=60, stage_chips=30)).circuit()
         par = verify_parallel(circuit, jobs=4)
         serial = TimingVerifier(circuit).verify()
         assert_equivalent(serial, par)
-        # With one case there is no case axis: the circuit itself is
-        # split along rank-group boundaries and converged by boundary
-        # exchange — byte-identical via fixed-point uniqueness.
-        assert par.pool is not None and par.pool.partitions >= 2
-        assert par.pool.boundary_rounds >= 1
+        # With one case there is no case axis to shard.
+        assert par.pool is None
 
     def test_single_case_too_small_to_partition_runs_serial(self):
         circuit = fig_2_5_register_file()
@@ -167,6 +166,29 @@ class TestWarmPool:
             assert inc.result.pool.edits_shipped == 1
             assert inc.result.pool.pool_starts == 1
             assert_equivalent(serial_edited, inc.result)
+        finally:
+            sess.close()
+
+    def test_single_case_session_reverifies_serially(self):
+        """A single-case design under jobs > 1 takes the serial paths,
+        incremental reverify included, and never forks the pool."""
+        def single():
+            return generate(SynthConfig(chips=60, stage_chips=30)).circuit()[0]
+
+        edit = WireDelayEdit("MUX CTL .S0-8", (0.0, 2.0))
+        oracle = Session(single())
+        serial = oracle.verify()
+        serial_edited = oracle.edit(edit).reverify(prescreen=False)
+
+        sess = Session(single(), jobs=2)
+        try:
+            assert_equivalent(serial, sess.verify())
+            inc = sess.edit(edit).reverify(prescreen=False)
+            assert inc.incremental and serial_edited.incremental
+            assert_equivalent(serial_edited.result, inc.result)
+            assert inc.result.pool is None
+            assert not sess._pool.started
+            assert not sess._pool._outbox  # edits only queue for live workers
         finally:
             sess.close()
 

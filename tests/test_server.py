@@ -6,6 +6,7 @@ the HTTP layer can only ever be a transport, never a second
 implementation.
 """
 
+import os
 import threading
 
 import pytest
@@ -175,7 +176,7 @@ class TestPooledOverHttp:
         assert doc["profile"]["pool"]["edits_shipped"] == 1
 
     def test_bad_jobs_rejected(self, client):
-        for bad in (0, -1, "two", True):
+        for bad in (0, -1, "two", True, (os.cpu_count() or 1) + 1):
             with pytest.raises(ServerError) as exc:
                 client.create(path=SHIFTER, jobs=bad)
             assert exc.value.status == 400
