@@ -13,6 +13,7 @@ fixed-point convergence test can be a structural equality comparison.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,11 +21,15 @@ from fractions import Fraction
 PS_PER_NS = 1000
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
 def ns_to_ps(t_ns: float) -> int:
     """Convert a time in nanoseconds to integer picoseconds.
 
     Uses round-half-even via ``Fraction`` to avoid binary-float surprises on
-    values such as ``6.25`` or ``0.1``.
+    values such as ``6.25`` or ``0.1``.  Memoized: a design repeats a few
+    dozen delay values across thousands of components.  The cache is
+    bounded because a long-lived server converts client-supplied values,
+    and typed so that ``True`` is still rejected rather than read as ``1``.
     """
     return round(Fraction(str(t_ns)) * PS_PER_NS)
 

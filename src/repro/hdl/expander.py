@@ -10,7 +10,10 @@ individually timed for the Table 3-1 execution statistics:
   *synonyms* between signals (a formal macro parameter and the actual
   signal bound to it are the same signal);
 * **Pass 2** — emit the fully elaborated design (a
-  :class:`~repro.netlist.Circuit`) for the Timing Verifier.
+  :class:`~repro.netlist.Circuit`) for the Timing Verifier.  Pass 1
+  records each primitive it resolved, in walk order; Pass 2 emits from
+  that record without walking the call tree or evaluating an expression
+  again.
 
 Signal scoping follows section 3.1: ``/P`` marks a macro parameter (and is
 checked against the ``param`` declaration), ``/M`` marks a signal local to
@@ -43,9 +46,10 @@ class ExpanderStats:
     primitives: int = 0
     synonyms: int = 0
     max_depth: int = 0
-    #: Expression evaluations in both passes (subscripts, size parameters
-    #: and property values), and the distinct expression texts among them;
-    #: each distinct text is parsed once, each evaluation walks its tree.
+    #: Expression evaluations (subscripts, size parameters and property
+    #: values, all in Pass 1), and the distinct expression texts among
+    #: them; each distinct text is parsed once, each evaluation walks its
+    #: tree.
     expressions: int = 0
     expression_texts: int = 0
 
@@ -109,6 +113,11 @@ class MacroExpander:
         self.stats = ExpanderStats()
         self._synonym_pairs: list[tuple[str, str]] = []
         self._expression_texts: set[str] = set()
+        #: Pass 1's record for Pass 2: (statement, instance path, primitive
+        #: type, resolved pins, params) per primitive, in walk order.
+        self._resolved: list[
+            tuple[PrimStmt, str, str, list[tuple[str, ResolvedSig]], dict[str, object]]
+        ] = []
 
     # ------------------------------------------------------------------
     # public API
@@ -138,7 +147,10 @@ class MacroExpander:
         self.stats.pass1_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        circuit = self._pass2()
+        try:
+            circuit = self._pass2()
+        finally:
+            self._resolved = []
         self.stats.pass2_seconds = time.perf_counter() - t0
         self.stats.expression_texts = len(self._expression_texts)
         return circuit
@@ -149,22 +161,23 @@ class MacroExpander:
         return list(self._synonym_pairs)
 
     # ------------------------------------------------------------------
-    # Pass 1: validate the call tree and resolve synonyms
+    # Pass 1: validate the call tree, resolve synonyms, record primitives
     # ------------------------------------------------------------------
 
     def _pass1(self) -> None:
         self._synonym_pairs.clear()
+        self._resolved = []
         self.stats.macro_calls = 0
         self.stats.primitives = 0
         self.stats.max_depth = 0
         self.stats.expressions = 0
         self._expression_texts.clear()
         for stmt in self.design.top:
-            self._walk(stmt, _Scope(path=""), depth=0, emit=None)
+            self._walk(stmt, _Scope(path=""), depth=0)
         self.stats.synonyms = len(self._synonym_pairs)
 
     # ------------------------------------------------------------------
-    # Pass 2: emit the flat circuit
+    # Pass 2: emit the flat circuit from Pass 1's record
     # ------------------------------------------------------------------
 
     def _pass2(self) -> Circuit:
@@ -175,8 +188,27 @@ class MacroExpander:
             period_ns=self.design.period_ns,
             clock_unit_ns=self.design.clock_unit_ns,
         )
-        for stmt in self.design.top:
-            self._walk(stmt, _Scope(path=""), depth=0, emit=circuit)
+        for stmt, path, prim_name, resolved, params in self._resolved:
+            width = int(params.get("width", 0)) or max(
+                (sig.width for _pin, sig in resolved), default=1
+            )
+            params.setdefault("width", width)
+            origin = (stmt.source_file, stmt.line)
+            pins: dict[str, object] = {}
+            for pin, sig in resolved:
+                net = circuit.net(sig.name, width=sig.width)
+                if net.origin is None:
+                    net.origin = origin
+                if sig.internal and net.wire_delay_ps is None:
+                    net.wire_delay_ps = (0, 0)  # on-die: no interconnection run
+                pins[pin] = Connection(
+                    net=net,
+                    invert=sig.invert,
+                    directives=sig.directives,
+                )
+            circuit.add(
+                f"{path}{stmt.inst}", prim_name, pins, origin=origin, **params
+            )
         for name, lo, hi in self.design.wires:
             net = circuit.net(name)
             net.wire_delay_ps = (round(lo * 1000), round(hi * 1000))
@@ -185,62 +217,28 @@ class MacroExpander:
         return circuit
 
     # ------------------------------------------------------------------
-    # shared walk (Pass 1 validates; Pass 2 also emits)
+    # the call-tree walk (Pass 1)
     # ------------------------------------------------------------------
 
-    def _walk(
-        self,
-        stmt: PrimStmt | UseStmt,
-        scope: _Scope,
-        depth: int,
-        emit: Circuit | None,
-    ) -> None:
+    def _walk(self, stmt: PrimStmt | UseStmt, scope: _Scope, depth: int) -> None:
         self.stats.max_depth = max(self.stats.max_depth, depth)
         if isinstance(stmt, PrimStmt):
-            self._walk_prim(stmt, scope, emit)
+            self._walk_prim(stmt, scope)
         else:
-            self._walk_use(stmt, scope, depth, emit)
+            self._walk_use(stmt, scope, depth)
 
-    # Counters are accumulated in Pass 1 only (emit is None); Pass 2 walks
-    # the same tree and must not double-count.
-
-    def _walk_prim(self, stmt: PrimStmt, scope: _Scope, emit: Circuit | None) -> None:
-        if emit is None:
-            self.stats.primitives += 1
+    def _walk_prim(self, stmt: PrimStmt, scope: _Scope) -> None:
+        self.stats.primitives += 1
         try:
             prim = lookup(stmt.prim)
         except KeyError as exc:
             raise ExpansionError(f"line {stmt.line}: {exc.args[0]}") from exc
         resolved = [(pin, self._resolve(ref, scope, stmt.line)) for pin, ref in stmt.pins]
         params = self._eval_props(stmt.props, scope, stmt.line)
-        if emit is None:
-            return
-        width = int(params.get("width", 0)) or max(
-            (sig.width for _pin, sig in resolved), default=1
-        )
-        params.setdefault("width", width)
-        origin = (stmt.source_file, stmt.line)
-        pins: dict[str, object] = {}
-        for pin, sig in resolved:
-            net = emit.net(sig.name, width=sig.width)
-            if net.origin is None:
-                net.origin = origin
-            if sig.internal and net.wire_delay_ps is None:
-                net.wire_delay_ps = (0, 0)  # on-die: no interconnection run
-            pins[pin] = Connection(
-                net=net,
-                invert=sig.invert,
-                directives=sig.directives,
-            )
-        emit.add(
-            f"{scope.path}{stmt.inst}", prim.name, pins, origin=origin, **params
-        )
+        self._resolved.append((stmt, scope.path, prim.name, resolved, params))
 
-    def _walk_use(
-        self, stmt: UseStmt, scope: _Scope, depth: int, emit: Circuit | None
-    ) -> None:
-        if emit is None:
-            self.stats.macro_calls += 1
+    def _walk_use(self, stmt: UseStmt, scope: _Scope, depth: int) -> None:
+        self.stats.macro_calls += 1
         macro = self.design.macros.get(stmt.macro)
         if macro is None:
             raise ExpansionError(
@@ -294,8 +292,7 @@ class MacroExpander:
                 width=max(actual.width, want),
                 directives=actual.directives,
             )
-            if emit is None:
-                self._synonym_pairs.append((f"{child.path}{formal}", actual.name))
+            self._synonym_pairs.append((f"{child.path}{formal}", actual.name))
         missing = child.declared - set(child.formals)
         if missing:
             raise ExpansionError(
@@ -303,7 +300,7 @@ class MacroExpander:
                 f"binding parameter(s) {sorted(missing)}"
             )
         for inner in macro.body:
-            self._walk(inner, child, depth + 1, emit)
+            self._walk(inner, child, depth + 1)
 
     # ------------------------------------------------------------------
     # resolution helpers

@@ -33,6 +33,7 @@ Comments run from ``--`` to end of line.  Statements end with ``;``.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 
 
@@ -129,44 +130,62 @@ class Design:
 # tokenizer
 # ---------------------------------------------------------------------------
 
+# One alternation, scanned once by ``findall``: string, number, identifier,
+# comment, symbol, newline, and a catch-all for any other visible
+# character.  Whitespace other than newlines matches nothing and is skipped.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>--[^\n]*)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<number>\d+(?:\.\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<sym>[;,()<>:=&/\-+*])
+    "(?:[^"\\]|\\.)*"
+  | \d+(?:\.\d+)?
+  | [A-Za-z_][A-Za-z_0-9]*
+  | --[^\n]*
+  | [;,()<>:=&/\-+*]
+  | \n
+  | \S
     """,
     re.VERBOSE,
 )
 
+#: Token kind by first character, for the kinds whose first character
+#: decides them.  ``-`` (symbol or comment), ``"`` (string or a lone
+#: quote), newlines and non-ASCII digits are sorted out in the loop.
+_KIND_BY_FIRST = {
+    **dict.fromkeys(string.ascii_letters + "_", "ident"),
+    **dict.fromkeys(string.digits, "number"),
+    **dict.fromkeys(";,()<>:=&/+*", "sym"),
+}
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "string" | "number" | "ident" | "sym"
-    text: str
-    line: int
+#: A token: ``(kind, text, line)`` with kind one of ``"string"``,
+#: ``"number"``, ``"ident"`` and ``"sym"``; a string's text is unquoted.
+Token = tuple[str, str, int]
 
 
 def tokenize(source: str, filename: str = "") -> list[Token]:
+    """Split ``source`` into tokens in one ``findall`` pass.
+
+    Comments and whitespace are dropped; newline matches (and the newlines
+    inside a string) advance the line count.  Any other character, a lone
+    ``"`` of an unterminated string included, is a syntax error.
+    """
     tokens: list[Token] = []
+    append = tokens.append
+    kind_by_first = _KIND_BY_FIRST
     line = 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if not m:
-            raise ScaldSyntaxError(
-                f"unexpected character {source[pos]!r}", line, filename
-            )
-        text = m.group(0)
-        kind = m.lastgroup or ""
-        if kind == "string":
-            tokens.append(Token("string", text[1:-1].replace('\\"', '"'), line))
-        elif kind in ("number", "ident", "sym"):
-            tokens.append(Token(kind, text, line))
-        line += text.count("\n")
-        pos = m.end()
+    for text in _TOKEN_RE.findall(source):
+        kind = kind_by_first.get(text[0])
+        if kind is not None:
+            append((kind, text, line))
+        elif text == "\n":
+            line += 1
+        elif text == "-":
+            append(("sym", text, line))
+        elif text[0] == '"' and len(text) > 1:
+            append(("string", text[1:-1].replace('\\"', '"'), line))
+            line += text.count("\n")
+        elif text[0].isdecimal():
+            append(("number", text, line))  # a non-ASCII decimal digit
+        elif not text.startswith("--"):
+            raise ScaldSyntaxError(f"unexpected character {text!r}", line, filename)
     return tokens
 
 
@@ -176,7 +195,11 @@ def tokenize(source: str, filename: str = "") -> list[Token]:
 
 
 class Parser:
-    """Recursive-descent parser producing a :class:`Design`."""
+    """Recursive-descent parser producing a :class:`Design`.
+
+    Tokens are ``(kind, text, line)`` tuples (see :func:`tokenize`), read
+    by index: ``tok[0]`` kind, ``tok[1]`` text, ``tok[2]`` line.
+    """
 
     def __init__(self, source: str, filename: str = "") -> None:
         self.tokens = tokenize(source, filename)
@@ -190,7 +213,7 @@ class Parser:
 
     def _last_line(self) -> int:
         """Line of the last token read (1 before any), for errors at EOF."""
-        return self.tokens[self.pos - 1].line if self.pos else 1
+        return self.tokens[self.pos - 1][2] if self.pos else 1
 
     def _take(self) -> Token:
         tok = self._peek()
@@ -203,23 +226,24 @@ class Parser:
 
     def _expect(self, kind: str, text: str | None = None) -> Token:
         tok = self._take()
-        if tok.kind != kind or (text is not None and tok.text != text):
+        tok_kind, tok_text, line = tok
+        if tok_kind != kind or (text is not None and tok_text != text):
             want = text or kind
             raise ScaldSyntaxError(
-                f"expected {want!r}, found {tok.text!r}", tok.line, self.filename
+                f"expected {want!r}, found {tok_text!r}", line, self.filename
             )
         return tok
 
     def _accept(self, kind: str, text: str | None = None) -> Token | None:
         tok = self._peek()
-        if tok and tok.kind == kind and (text is None or tok.text == text):
+        if tok and tok[0] == kind and (text is None or tok[1] == text):
             self.pos += 1
             return tok
         return None
 
     def _keyword(self) -> str | None:
         tok = self._peek()
-        return tok.text if tok and tok.kind == "ident" else None
+        return tok[1] if tok and tok[0] == "ident" else None
 
     # -- grammar ----------------------------------------------------------
 
@@ -237,20 +261,20 @@ class Parser:
             assert tok is not None
             if kw == "design":
                 self._take()
-                name = self._take().text
+                name = self._take()[1]
                 if design.name == "UNNAMED":
                     design.name = name
                 self._expect("sym", ";")
             elif kw == "period":
                 self._take()
-                period = float(self._expect("number").text)
+                period = float(self._expect("number")[1])
                 if design.period_ns is None:
                     design.period_ns = period
                 self._accept("ident", "ns")
                 self._expect("sym", ";")
             elif kw == "clock_unit":
                 self._take()
-                unit = float(self._expect("number").text)
+                unit = float(self._expect("number")[1])
                 if design.clock_unit_ns is None:
                     design.clock_unit_ns = unit
                 self._accept("ident", "ns")
@@ -268,10 +292,10 @@ class Parser:
                 design.top.append(self._parse_use())
             elif kw == "wire":
                 self._take()
-                name = self._expect("string").text
-                lo = float(self._expect("number").text)
+                name = self._expect("string")[1]
+                lo = float(self._expect("number")[1])
                 self._expect("sym", ":")
-                hi = float(self._expect("number").text)
+                hi = float(self._expect("number")[1])
                 self._expect("sym", ";")
                 design.wires.append((name, lo, hi))
             elif kw == "include":
@@ -281,18 +305,18 @@ class Parser:
                 inc_tok = self._take()
                 path_tok = self._expect("string")
                 self._expect("sym", ";")
-                self._include(design, path_tok.text, inc_tok.line)
+                self._include(design, path_tok[1], inc_tok[2])
             elif kw == "case":
                 self._take()
                 case: dict[str, int] = {}
                 while True:
-                    name = self._expect("string").text
+                    name = self._expect("string")[1]
                     self._expect("sym", "=")
-                    value = self._expect("number").text
+                    _, value, value_line = self._expect("number")
                     if value not in ("0", "1"):
                         raise ScaldSyntaxError(
                             f"case value must be 0 or 1, got {value}",
-                            tok.line,
+                            value_line,
                             self.filename,
                         )
                     case[name] = int(value)
@@ -302,7 +326,7 @@ class Parser:
                 design.cases.append(case)
             else:
                 raise ScaldSyntaxError(
-                    f"unexpected token {tok.text!r}", tok.line, self.filename
+                    f"unexpected token {tok[1]!r}", tok[2], self.filename
                 )
         return design
 
@@ -328,12 +352,12 @@ class Parser:
 
     def _parse_macro(self) -> MacroDef:
         start = self._expect("ident", "macro")
-        name = self._expect("string").text
+        name = self._expect("string")[1]
         size_params: list[str] = []
         if self._accept("sym", "("):
             if not self._accept("sym", ")"):
                 while True:
-                    size_params.append(self._expect("ident").text)
+                    size_params.append(self._expect("ident")[1])
                     if self._accept("sym", ")"):
                         break
                     self._expect("sym", ",")
@@ -341,7 +365,7 @@ class Parser:
         macro = MacroDef(
             name=name,
             size_params=tuple(size_params),
-            line=start.line,
+            line=start[2],
             source_file=self.filename,
         )
         while True:
@@ -353,7 +377,7 @@ class Parser:
             if kw == "param":
                 self._take()
                 while True:
-                    pname = self._expect("string").text
+                    pname = self._expect("string")[1]
                     sub = self._parse_subscript()
                     macro.pin_decls.append((pname, sub))
                     if not self._accept("sym", ","):
@@ -366,10 +390,10 @@ class Parser:
             else:
                 tok = self._peek()
                 raise ScaldSyntaxError(
-                    f"unexpected {tok.text!r} in macro body"
+                    f"unexpected {tok[1]!r} in macro body"
                     if tok
                     else "unterminated macro",
-                    tok.line if tok else macro.line,
+                    tok[2] if tok else macro.line,
                     self.filename,
                 )
 
@@ -393,45 +417,46 @@ class Parser:
                 raise ScaldSyntaxError(
                     "unterminated expression", self._last_line(), self.filename
                 )
-            if tok.kind == "sym":
-                if depth == 0 and tok.text in stop:
+            kind, text, _ = tok
+            if kind == "sym":
+                if depth == 0 and text in stop:
                     break
-                if tok.text not in allowed_syms:
+                if text not in allowed_syms:
                     break
-                if tok.text == "(":
+                if text == "(":
                     depth += 1
-                elif tok.text == ")":
+                elif text == ")":
                     if depth == 0:
                         break
                     depth -= 1
-            elif tok.kind not in ("number", "ident"):
+            elif kind not in ("number", "ident"):
                 break
-            parts.append(tok.text)
+            parts.append(text)
             self._take()
         if not parts:
             tok = self._peek()  # the loop stops at a token, never at EOF
             raise ScaldSyntaxError(
-                f"expected expression before {tok.text!r}", tok.line, self.filename
+                f"expected expression before {tok[1]!r}", tok[2], self.filename
             )
         return " ".join(parts)
 
     def _parse_sigref(self) -> SigRef:
         invert = bool(self._accept("sym", "-"))
-        name = self._expect("string").text
+        name = self._expect("string")[1]
         scope = ""
         if self._accept("sym", "/"):
-            marker = self._expect("ident").text
+            marker = self._expect("ident")[1]
             if marker not in ("P", "M"):
                 raise ScaldSyntaxError(
                     f"signal scope must be /P or /M, got /{marker}",
-                    self.tokens[self.pos - 1].line,
+                    self.tokens[self.pos - 1][2],
                     self.filename,
                 )
             scope = marker
         subscript = self._parse_subscript()
         directives = ""
         if self._accept("sym", "&"):
-            directives = self._expect("ident").text
+            directives = self._expect("ident")[1]
         return SigRef(
             name=name,
             invert=invert,
@@ -451,33 +476,34 @@ class Parser:
                 raise ScaldSyntaxError(
                     "unterminated property", self._last_line(), self.filename
                 )
-            if tok.kind == "sym":
-                if depth == 0 and tok.text in (";", ":", ","):
+            kind, text, _ = tok
+            if kind == "sym":
+                if depth == 0 and text in (";", ":", ","):
                     break
-                if tok.text not in allowed_syms:
+                if text not in allowed_syms:
                     break
-                if tok.text == "(":
+                if text == "(":
                     depth += 1
-                elif tok.text == ")":
+                elif text == ")":
                     if depth == 0:
                         break
                     depth -= 1
-            elif tok.kind == "ident":
+            elif kind == "ident":
                 nxt = (
                     self.tokens[self.pos + 1]
                     if self.pos + 1 < len(self.tokens)
                     else None
                 )
-                if parts and nxt and nxt.kind == "sym" and nxt.text == "=":
+                if parts and nxt and nxt[0] == "sym" and nxt[1] == "=":
                     break  # this ident starts the next property
-            elif tok.kind != "number":
+            elif kind != "number":
                 break
-            parts.append(tok.text)
+            parts.append(text)
             self._take()
         if not parts:
             tok = self._peek()  # the loop stops at a token, never at EOF
             raise ScaldSyntaxError(
-                f"expected property value before {tok.text!r}", tok.line, self.filename
+                f"expected property value before {tok[1]!r}", tok[2], self.filename
             )
         return " ".join(parts)
 
@@ -485,9 +511,9 @@ class Parser:
         props: list[tuple[str, str]] = []
         while True:
             tok = self._peek()
-            if tok is None or tok.kind != "ident":
+            if tok is None or tok[0] != "ident":
                 break
-            name = self._take().text
+            name = self._take()[1]
             self._expect("sym", "=")
             value = self._parse_prop_value()
             if self._accept("sym", ":"):
@@ -498,17 +524,17 @@ class Parser:
     def _parse_prim(self) -> PrimStmt:
         start = self._expect("ident", "prim")
         tok = self._take()
-        if tok.kind not in ("ident", "string"):
+        if tok[0] not in ("ident", "string"):
             raise ScaldSyntaxError(
-                f"expected primitive name, found {tok.text!r}", tok.line, self.filename
+                f"expected primitive name, found {tok[1]!r}", tok[2], self.filename
             )
-        prim = tok.text
-        inst = self._take().text
+        prim = tok[1]
+        inst = self._take()[1]
         self._expect("sym", "(")
         pins: list[tuple[str, SigRef]] = []
         if not self._accept("sym", ")"):
             while True:
-                pin = self._expect("ident").text
+                pin = self._expect("ident")[1]
                 self._expect("sym", "=")
                 pins.append((pin, self._parse_sigref()))
                 if self._accept("sym", ")"):
@@ -517,27 +543,27 @@ class Parser:
         props = self._parse_props()
         self._expect("sym", ";")
         return PrimStmt(
-            prim=prim, inst=inst, pins=tuple(pins), props=props, line=start.line,
+            prim=prim, inst=inst, pins=tuple(pins), props=props, line=start[2],
             source_file=self.filename,
         )
 
     def _parse_use(self) -> UseStmt:
         start = self._expect("ident", "use")
-        macro = self._expect("string").text
-        inst = self._take().text
+        macro = self._expect("string")[1]
+        inst = self._take()[1]
         self._expect("sym", "(")
         bindings: list[tuple[str, SigRef]] = []
         if not self._accept("sym", ")"):
             while True:
                 formal = self._take()
-                if formal.kind not in ("ident", "string"):
+                if formal[0] not in ("ident", "string"):
                     raise ScaldSyntaxError(
-                        f"expected formal parameter name, found {formal.text!r}",
-                        formal.line,
+                        f"expected formal parameter name, found {formal[1]!r}",
+                        formal[2],
                         self.filename,
                     )
                 self._expect("sym", "=")
-                bindings.append((formal.text, self._parse_sigref()))
+                bindings.append((formal[1], self._parse_sigref()))
                 if self._accept("sym", ")"):
                     break
                 self._expect("sym", ",")
@@ -545,7 +571,7 @@ class Parser:
         self._expect("sym", ";")
         return UseStmt(
             macro=macro, inst=inst, bindings=tuple(bindings), params=params,
-            line=start.line, source_file=self.filename,
+            line=start[2], source_file=self.filename,
         )
 
 

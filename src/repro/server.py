@@ -52,6 +52,11 @@ from .session import Session
 __all__ = ["SessionClient", "SessionServer", "main"]
 
 
+#: Largest request body the server reads.  A longer declared
+#: ``Content-Length`` is refused with 413 before any of the body is read.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+
 class ServerError(Exception):
     """A request-level failure carrying its HTTP status."""
 
@@ -162,7 +167,22 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body stays unread, so this connection cannot carry
+            # another request.
+            self.close_connection = True
+            if length > MAX_BODY_BYTES:
+                raise ServerError(
+                    413,
+                    f"request body of {length} bytes exceeds the limit of "
+                    f"{MAX_BODY_BYTES} bytes",
+                )
+            raise ServerError(400, f"bad Content-Length: {header!r}")
         if length == 0:
             return {}
         raw = self.rfile.read(length)
@@ -179,6 +199,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 

@@ -1,5 +1,6 @@
 """Tests for the SCALD HDL: expressions, parser, and macro expander."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,13 @@ class TestParser:
     def test_case_value_validated(self):
         with pytest.raises(ScaldSyntaxError, match="0 or 1"):
             parse(HEADER + 'case "A"=3;')
+
+    def test_case_value_error_reports_the_value_line(self):
+        src = 'design T;\ncase "A" = 1,\n "B" = 2;'
+        with pytest.raises(
+            ScaldSyntaxError, match=r"^x\.scald:3: case value must be 0 or 1, got 2$"
+        ):
+            parse(src, "x.scald")
 
     def test_duplicate_macro_rejected(self):
         src = HEADER + 'macro "M" (); endmacro;\nmacro "M" (); endmacro;'
@@ -417,5 +425,44 @@ class TestExpander:
         """Every expression use is counted; each distinct text compiles once."""
         shifter = Path(__file__).resolve().parent.parent / "examples/designs/shifter.scald"
         _, stats = expand_file(str(shifter))
-        assert (stats.expressions, stats.expression_texts) == (236, 13)
-        assert "expressions evaluated: 236, distinct expression texts: 13" in stats.table()
+        assert (stats.expressions, stats.expression_texts) == (118, 13)
+        assert "expressions evaluated: 118, distinct expression texts: 13" in stats.table()
+
+    def test_expand_twice_gives_the_same_circuit_and_stats(self):
+        """Pass 2 emits from Pass 1's record; a second expand() rebuilds
+        that record, so it must reproduce the first run exactly."""
+        shifter = Path(__file__).resolve().parent.parent / "examples/designs/shifter.scald"
+        expander = MacroExpander.from_file(str(shifter))
+
+        def run():
+            circuit = expander.expand()
+            untimed = replace(
+                expander.stats, read_seconds=0.0, pass1_seconds=0.0, pass2_seconds=0.0
+            )
+            return _netlist_dump(circuit), untimed, expander.synonyms
+
+        first = run()
+        assert first[0][0]  # components were emitted
+        assert run() == first
+
+
+def _netlist_dump(circuit):
+    """Everything the expander decides about a circuit, as plain data."""
+    components = [
+        (
+            comp.name,
+            comp.prim.name,
+            sorted(comp.params.items()),
+            sorted(
+                (pin, c.net.name, c.invert, c.directives)
+                for pin, c in comp.pins.items()
+            ),
+            comp.origin,
+        )
+        for comp in circuit.components.values()
+    ]
+    nets = [
+        (net.name, net.width, net.wire_delay_ps, net.origin, circuit.find(net).name)
+        for net in circuit.nets.values()
+    ]
+    return components, nets, circuit.cases

@@ -6,7 +6,9 @@ the HTTP layer can only ever be a transport, never a second
 implementation.
 """
 
+import json
 import os
+import socket
 import threading
 
 import pytest
@@ -14,7 +16,7 @@ import pytest
 from repro import Session
 from repro.incremental import ParamEdit, WireDelayEdit, edit_to_doc
 from repro.reporting.stafmt import fmax_doc, sta_doc
-from repro.server import ServerError, SessionClient, SessionServer
+from repro.server import MAX_BODY_BYTES, ServerError, SessionClient, SessionServer
 
 SHIFTER = "examples/designs/shifter.scald"
 MULTICYCLE = "examples/designs/multicycle.scald"
@@ -74,6 +76,55 @@ class TestLifecycle:
         with pytest.raises(ServerError) as exc:
             client._request("POST", "/frobnicate")
         assert exc.value.status == 404
+
+
+def _raw_post(port, content_length, body=b"", keep_alive=False):
+    """POST to /sessions with a hand-written Content-Length header; return
+    (status, decoded JSON body).  Reads until the server closes."""
+    connection = "keep-alive" if keep_alive else "close"
+    head = (
+        "POST /sessions HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        f"Connection: {connection}\r\nContent-Length: {content_length}\r\n\r\n"
+    )
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(head.encode() + body)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head_block, _, payload = data.partition(b"\r\n\r\n")
+    status = int(head_block.split()[1])
+    return status, json.loads(payload)
+
+
+class TestBodyLimits:
+    """``Content-Length`` is checked before any of the body is read."""
+
+    def test_negative_length_is_a_400(self, server, client):
+        # The unread body must not be parsed as a next request, so the
+        # server closes even a keep-alive connection (else this times out).
+        status, doc = _raw_post(server.port, -5, b"{}", keep_alive=True)
+        assert status == 400
+        assert doc["error"] == "bad Content-Length: '-5'"
+        assert client.health()["ok"]
+
+    def test_non_numeric_length_is_a_400(self, server, client):
+        status, doc = _raw_post(server.port, "lots")
+        assert status == 400
+        assert doc["error"] == "bad Content-Length: 'lots'"
+        assert client.health()["ok"]
+
+    def test_oversized_length_is_a_413_without_reading(self, server, client):
+        # No body is sent at all: a server that tried to read it would
+        # block until the socket timeout instead of answering.
+        status, doc = _raw_post(server.port, MAX_BODY_BYTES + 1, keep_alive=True)
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in doc["error"]
+        assert client.health()["ok"]
+
+    def test_valid_length_is_read(self, server, client):
+        body = json.dumps({"source": open(SHIFTER).read()}).encode()
+        status, doc = _raw_post(server.port, len(body), body)
+        assert status == 200 and doc["id"]
 
 
 class TestVerifyOverHttp:

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Offline quality gate: tier-1 tests, self-lint of every shipped .scald
-# source, and the engine-vs-static crosscheck smoke.  No network, no
+# source, the S-1 front-end round trip, and the engine-vs-static
+# crosscheck smoke, followed by the differential gates.  No network, no
 # arguments; run from anywhere inside the repository.
 #
 #   tools/check.sh
@@ -31,6 +32,47 @@ if [ -z "$designs" ]; then
 fi
 # shellcheck disable=SC2086
 python -m repro.lint.cli --strict $designs
+
+echo
+echo "== front-end round trip at S-1 scale: expand -> write -> expand =="
+# The S-1 design (6 357 chips) expanded, written back as flat SCALD text
+# and re-expanded must give the same netlist: every component's primitive
+# type, params and pins (on alias representatives), every representative
+# net's width and wire delay, and the cases.  The written text quotes
+# every hierarchical instance name, so this drives the tokenizer over
+# quoted names at full scale.
+python - <<'EOF'
+from repro.hdl.expander import expand_source
+from repro.hdl.writer import write_scald
+from repro.workloads.synth import generate, s1_scale_config
+
+
+def canonical(circuit):
+    components = sorted(
+        (
+            comp.name,
+            comp.prim.name,
+            sorted(comp.params.items()),
+            sorted(
+                (pin, circuit.find(c.net).name, c.invert, c.directives)
+                for pin, c in comp.pins.items()
+            ),
+        )
+        for comp in circuit.components.values()
+    )
+    nets = sorted(
+        (net.name, net.width, net.wire_delay_ps)
+        for net in circuit.representatives()
+    )
+    return components, nets, circuit.cases
+
+
+first, _ = expand_source(generate(s1_scale_config()).source, filename="s1.scald")
+again, _ = expand_source(write_scald(first), filename="s1-written.scald")
+assert canonical(again) == canonical(first), "S-1 round trip changed the netlist"
+print(f"ok: S-1 ({len(first.components)} primitives, "
+      f"{len(first.representatives())} nets) expand -> write -> expand")
+EOF
 
 echo
 echo "== crosscheck smoke: static windows enclose engine transitions =="
