@@ -19,7 +19,7 @@ import heapq
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace as _dc_replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from ..netlist.circuit import Circuit, Component, Connection, Net, parse_lane_ref
 from .checks import (
@@ -483,7 +483,14 @@ class Engine:
     # ------------------------------------------------------------------
 
     def initialize(self, case: dict[str, int] | None = None) -> None:
-        """Set every signal to its starting value and queue all primitives."""
+        """Set every signal to its starting value and queue all primitives.
+
+        Re-reads the circuit's period, so one engine can be re-initialized
+        under a new timebase (the Fmax probes of ``repro.sta.parametric``):
+        every per-run cache is cleared here, and the topology and ranks
+        kept across runs do not depend on the period.
+        """
+        self.period = self.circuit.period_ps
         self.values.clear()
         self._fixed.clear()
         self.xref_assumed_stable.clear()
@@ -714,6 +721,24 @@ class Engine:
         events = self.stats.events - start_events
         self.stats.events_by_case.append(events)
         return events
+
+    def run_cases(
+        self, cases: list[dict[str, int]], first_index: int = 0
+    ) -> Iterator[tuple[int, int, list[Violation]]]:
+        """Converge and check each case in turn (section 2.7).
+
+        The engine must already stand at ``cases[0]`` (after
+        :meth:`initialize` or :meth:`incremental_begin`).  Yields
+        ``(case_index, events, violations)`` per case while the engine
+        still holds that case's fixed point, so a caller can snapshot it
+        before the next case is applied.
+        """
+        for i, case in enumerate(cases):
+            if i:
+                self.apply_case(case)
+            events = self.run()
+            index = first_index + i
+            yield index, events, self.check(case_index=index)
 
     def apply_case(self, case: dict[str, int]) -> None:
         """Switch to the next case, disturbing only affected signals."""

@@ -351,17 +351,13 @@ class _Worker:
 
         t0, c0 = time.perf_counter(), time.process_time()
         violations: list[list[Violation]] = []
-        assignments: list[dict[str, int]] = []
         events: list[int] = []
         store: dict[int, dict[str, Waveform]] = {}
-        for i, case in enumerate(block_cases):
-            index = start + i
-            if i > 0:
-                engine.apply_case(case)
-            events.append(engine.run())
-            violations.append(engine.check(case_index=index))
-            assignments.append(dict(case))
+        for index, case_events, found in engine.run_cases(block_cases, start):
+            events.append(case_events)
+            violations.append(found)
             store[index] = engine.snapshot()
+        assignments = [dict(case) for case in block_cases]
         self.snapshots = store
         self.converged = True
         return _BlockResult(

@@ -185,7 +185,8 @@ def fmax_text(res) -> str:
         if res.witness_terminal:
             lines.append(f"    <- {res.witness_terminal}")
     lines.append(
-        f"  cost: {res.engine_runs} engine run(s), "
+        f"  cost: {res.engine_runs} engine run(s) "
+        f"({res.engine_events} events), "
         f"{res.parametric_passes} parametric pass(es), "
         f"{res.static_evals} static eval(s)"
     )
@@ -213,6 +214,7 @@ def fmax_doc(res) -> dict:
         "witness_terminal": res.witness_terminal,
         "cost": {
             "engine_runs": res.engine_runs,
+            "engine_events": res.engine_events,
             "parametric_passes": res.parametric_passes,
             "static_evals": res.static_evals,
         },

@@ -267,27 +267,30 @@ class Session:
         phases.cross_reference = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        report = CheckReport()
-        case_results: list[CaseResult] = []
-        for index, case in enumerate(cases):
-            if index > 0:
-                engine.apply_case(case)
-            events = engine.run()
-            report.extend(engine.check(case_index=index))
-            case_results.append(
-                CaseResult(
-                    index=index,
-                    assignments=dict(case),
-                    waveforms=engine.snapshot(),
-                    events=events,
-                )
-            )
+        report, case_results = self._run_cases(cases)
         phases.verify = time.perf_counter() - t0
 
         result = self._package(report, case_results, xref, warnings, phases)
         self._converged = True
         self.runs += 1
         return result
+
+    def _run_cases(self, cases) -> tuple[CheckReport, list[CaseResult]]:
+        """Every case to its fixed point on the engine, snapshotting each."""
+        engine = self.engine
+        report = CheckReport()
+        case_results: list[CaseResult] = []
+        for index, events, found in engine.run_cases(cases):
+            report.extend(found)
+            case_results.append(
+                CaseResult(
+                    index=index,
+                    assignments=dict(cases[index]),
+                    waveforms=engine.snapshot(),
+                    events=events,
+                )
+            )
+        return report, case_results
 
     def reverify(self, prescreen: bool = True) -> IncrementalResult:
         """Re-verify after edits, re-entering the fixed point incrementally.
@@ -340,21 +343,7 @@ class Session:
         phases.cross_reference = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        report = CheckReport()
-        case_results: list[CaseResult] = []
-        for index, case in enumerate(cases):
-            if index > 0:
-                engine.apply_case(case)
-            events = engine.run()
-            report.extend(engine.check(case_index=index))
-            case_results.append(
-                CaseResult(
-                    index=index,
-                    assignments=dict(case),
-                    waveforms=engine.snapshot(),
-                    events=events,
-                )
-            )
+        report, case_results = self._run_cases(cases)
         phases.verify = time.perf_counter() - t0
 
         result = self._package(report, case_results, xref, warnings, phases)

@@ -40,9 +40,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..core.config import VerifyConfig
-from ..core.engine import _SUPPLY
+from ..core.engine import _SUPPLY, Engine
 from ..core.timeline import Timebase, scaled_timebase
+from ..core.violations import Violation
 from ..netlist.circuit import Circuit, Component, Connection, Net
+from ..netlist.validate import check as check_structure
 from .slack import SlackRecord, compute_slack
 from .windows import IntervalSet, WindowAnalysis, compute_windows, _used_input_conns
 
@@ -572,43 +574,71 @@ def _static_ok(records, baseline_overflow) -> bool:
     return True
 
 
-def _engine_probe(circuit, config, constraints, period_ps) -> int | None:
-    """One engine run at ``period_ps``: None when clean, else the worst
-    ``missed_by_ps`` over all violations (0 when none carries a margin)."""
-    from ..core.verifier import TimingVerifier
+class _Prober:
+    """Full engine runs at trial periods, all on one engine per solve.
 
-    with _at_period(circuit, period_ps):
-        result = TimingVerifier(
-            circuit, config=config, constraints=constraints
-        ).verify()
-    if result.ok:
-        return None
-    return max((v.missed_by_ps or 0) for v in result.violations)
+    The structure check, the engine's topology maps and its levelized ranks
+    do not depend on the period, so they are built once; each trial period
+    re-initializes the same engine inside :class:`_at_period` and converges
+    every case from scratch.  Warm-starting a probe from the previous
+    period's fixed point (``Session.reverify``) would save nothing: every
+    waveform carries its period, so a period change dirties every stored
+    value.  The prober lives for one solve only and is never a session's
+    engine.
+    """
+
+    def __init__(self, circuit: Circuit, config: VerifyConfig, constraints) -> None:
+        check_structure(circuit)  # an invalid circuit still raises
+        self.circuit = circuit
+        self.engine = Engine(circuit, config, constraints=constraints)
+        #: The first violation found at each probed period (None = clean).
+        #: Only the first is kept: violations hold waveforms, and keeping
+        #: every probe's list would grow the solve's memory with its runs.
+        self.first: dict[int, Violation | None] = {}
+        #: Engine runs made, and the events they processed in total.
+        self.runs = 0
+        self.events = 0
+
+    def violations(self, period_ps: int) -> list[Violation]:
+        """One full engine run at ``period_ps``: every case, every check."""
+        engine = self.engine
+        cases = self.circuit.cases or [{}]
+        with _at_period(self.circuit, period_ps):
+            engine.initialize(cases[0])
+            found = [
+                v for _index, _events, vs in engine.run_cases(cases) for v in vs
+            ]
+        self.runs += 1
+        self.events += engine.stats.events
+        self.first[period_ps] = found[0] if found else None
+        return found
+
+    def miss(self, period_ps: int) -> int | None:
+        """None when clean at ``period_ps``, else the worst ``missed_by_ps``
+        over all violations (0 when none carries a margin)."""
+        found = self.violations(period_ps)
+        if not found:
+            return None
+        return max((v.missed_by_ps or 0) for v in found)
 
 
-def _engine_ok(circuit, config, constraints, period_ps) -> bool:
-    return _engine_probe(circuit, config, constraints, period_ps) is None
-
-
-def _engine_binding(circuit, config, constraints, boundary):
+def _engine_binding(prober: _Prober, boundary: int | None):
     """Name the check the engine reports one picosecond below the boundary.
 
     Used by the bisection fallback, where the static pass could not name a
     binding record itself.  Returns ``(record, witness, terminal)`` — the
     concrete static record matching the first engine violation at
-    ``boundary - 1`` (None when no static record corresponds).
+    ``boundary - 1`` (None when no static record corresponds).  The
+    bisection's polish step always probes ``boundary - 1``, so the
+    violation comes from the prober's record of that run.
     """
-    from ..core.verifier import TimingVerifier
-
     if boundary is None or boundary <= 1:
         return None, [], ""
-    with _at_period(circuit, boundary - 1):
-        result = TimingVerifier(
-            circuit, config=config, constraints=constraints
-        ).verify()
-    if result.ok or not result.violations:
+    circuit = prober.circuit
+    config, constraints = prober.engine.config, prober.engine.constraints
+    v = prober.first[boundary - 1]
+    if v is None:
         return None, [], ""
-    v = result.violations[0]
     records = _static_records(circuit, config, constraints, boundary - 1)
     record = None
     for rec in records:
@@ -620,19 +650,17 @@ def _engine_binding(circuit, config, constraints, boundary):
             if rec.component == v.component:
                 record = rec
                 break
-    probe = record if record is not None else None
-    signal = probe.signal if probe is not None else v.signal
     witness, terminal = trace_witness(
         circuit,
         config,
         constraints,
         boundary,
-        probe
-        if probe is not None
+        record
+        if record is not None
         else SlackRecord(
             component=v.component,
             prim="",
-            signal=signal,
+            signal=v.signal,
             clock="",
             setup_ps=0,
             hold_ps=0,
@@ -945,6 +973,9 @@ class FmaxResult:
     witness: list[WitnessHop] = field(default_factory=list)
     witness_terminal: str = ""   #: what the backward trace ended on
     engine_runs: int = 0
+    #: Events the engine processed over all its runs: the deterministic
+    #: counter behind the solver's engine time.
+    engine_events: int = 0
     parametric_passes: int = 0
     static_evals: int = 0
 
@@ -1000,19 +1031,41 @@ def solve_fmax(
     """
     config = config or VerifyConfig()
     static = solve_static_fmax(circuit, config, constraints)
-    runs = 0
+    prober = _Prober(circuit, config, constraints)
     margin_memo: dict[int, int | None] = {}
 
     def probe(t: int) -> int | None:
         """Worst engine miss at T=t (None = clean; memoized)."""
-        nonlocal runs
         if t not in margin_memo:
-            runs += 1
-            margin_memo[t] = _engine_probe(circuit, config, constraints, t)
+            margin_memo[t] = prober.miss(t)
         return margin_memo[t]
 
     def ok(t: int) -> bool:
         return t >= 1 and probe(t) is None
+
+    def answer(**fields) -> FmaxResult:
+        return FmaxResult(
+            engine_runs=prober.runs,
+            engine_events=prober.events,
+            parametric_passes=static.passes,
+            static_evals=static.static_evals,
+            **fields,
+        )
+
+    def fallback(**fields) -> FmaxResult:
+        # The engine oracle keeps the answer exact where the static pass
+        # cannot; it names the binding check from its own violations.
+        fb = _bisect(prober)
+        binding, witness, terminal = _engine_binding(prober, fb.period_ps)
+        return answer(
+            period_limited=fb.period_limited,
+            period_ps=fb.period_ps,
+            method="anchored-fallback",
+            binding=binding,
+            witness=witness,
+            witness_terminal=terminal,
+            **fields,
+        )
 
     if not static.period_limited:
         # Static-clean at every period.  The slack families are sound, but
@@ -1020,52 +1073,14 @@ def solve_fmax(
         # glitches among them) — confirm before claiming unlimited, and
         # hand the engine authority when it disagrees.
         if ok(circuit.timebase.period_ps) and ok(1):
-            return FmaxResult(
-                period_limited=False,
-                period_ps=None,
-                method="anchored",
-                static_period_ps=None,
-                engine_runs=runs,
-                parametric_passes=static.passes,
-                static_evals=static.static_evals,
+            return answer(
+                period_limited=False, period_ps=None, method="anchored"
             )
-        fb = bisect_fmax(circuit, config, constraints)
-        binding, witness, terminal = _engine_binding(
-            circuit, config, constraints, fb.period_ps
-        )
-        return FmaxResult(
-            period_limited=fb.period_limited,
-            period_ps=fb.period_ps,
-            method="anchored-fallback",
-            static_period_ps=None,
-            binding=binding,
-            witness=witness,
-            witness_terminal=terminal,
-            engine_runs=runs + fb.engine_runs,
-            parametric_passes=static.passes,
-            static_evals=static.static_evals,
-        )
+        return fallback()
     if static.period_ps is None:
         # The static pass never goes clean at any period (structural
         # pessimism, e.g. assertion windows permanently inside a guard).
-        # Fall back to the engine oracle so the answer stays exact.
-        fb = bisect_fmax(circuit, config, constraints)
-        binding, witness, terminal = _engine_binding(
-            circuit, config, constraints, fb.period_ps
-        )
-        return FmaxResult(
-            period_limited=fb.period_limited,
-            period_ps=fb.period_ps,
-            method="anchored-fallback",
-            static_period_ps=None,
-            binding=binding,
-            slope=static.slope,
-            witness=witness,
-            witness_terminal=terminal,
-            engine_runs=fb.engine_runs,
-            parametric_passes=static.passes,
-            static_evals=static.static_evals,
-        )
+        return fallback(slope=static.slope)
 
     t_s = static.period_ps
     # Soundness says the engine is clean at T_s; confirm, and walk up in
@@ -1111,14 +1126,11 @@ def solve_fmax(
     boundary, _ = _polish_boundary(ok, boundary)
     if boundary <= 1 and ok(1):
         # Clean down to the smallest expressible period: not limited.
-        return FmaxResult(
+        return answer(
             period_limited=False,
             period_ps=None,
             method="anchored",
             static_period_ps=t_s,
-            engine_runs=runs,
-            parametric_passes=static.passes,
-            static_evals=static.static_evals,
         )
 
     witness, terminal = ([], "")
@@ -1126,7 +1138,7 @@ def solve_fmax(
         witness, terminal = trace_witness(
             circuit, config, constraints, boundary, static.binding
         )
-    return FmaxResult(
+    return answer(
         period_limited=True,
         period_ps=boundary,
         method="anchored",
@@ -1135,9 +1147,6 @@ def solve_fmax(
         slope=static.slope,
         witness=witness,
         witness_terminal=terminal,
-        engine_runs=runs,
-        parametric_passes=static.passes,
-        static_evals=static.static_evals,
     )
 
 
@@ -1156,35 +1165,39 @@ def bisect_fmax(
     agree to within the rounding wobble the polish step absorbs.
     """
     config = config or VerifyConfig()
-    runs = 0
+    return _bisect(_Prober(circuit, config, constraints), max_doublings)
+
+
+def _bisect(prober: _Prober, max_doublings: int = 16) -> FmaxResult:
+    """:func:`bisect_fmax` over a solve's prober (see there)."""
     ok_memo: dict[int, bool] = {}
 
     def ok(t: int) -> bool:
-        nonlocal runs
         if t < 1:
             return False
         hit = ok_memo.get(t)
         if hit is None:
-            runs += 1
-            hit = ok_memo[t] = _engine_ok(circuit, config, constraints, t)
+            hit = ok_memo[t] = not prober.violations(t)
         return hit
 
-    t0 = circuit.timebase.period_ps
-    if ok(t0):
-        hi_c = t0
-    else:
-        hi_c = t0
+    def answer(period_limited: bool, period_ps: int | None) -> FmaxResult:
+        return FmaxResult(
+            period_limited=period_limited,
+            period_ps=period_ps,
+            method="bisect",
+            engine_runs=prober.runs,
+            engine_events=prober.events,
+        )
+
+    t0 = prober.circuit.timebase.period_ps
+    hi_c = t0
+    if not ok(t0):
         for _ in range(max_doublings):
             hi_c *= 2
             if ok(hi_c):
                 break
         else:
-            return FmaxResult(
-                period_limited=True,
-                period_ps=None,
-                method="bisect",
-                engine_runs=runs,
-            )
+            return answer(True, None)
 
     # Halve down to find a violating floor (or discover T=1 is clean).
     lo_v = None
@@ -1200,12 +1213,7 @@ def bisect_fmax(
             break
     if lo_v is None:
         # Clean all the way down to T=1: the design is not period-limited.
-        return FmaxResult(
-            period_limited=False,
-            period_ps=None,
-            method="bisect",
-            engine_runs=runs,
-        )
+        return answer(False, None)
 
     while hi_c - lo_v > 1:
         mid = (lo_v + hi_c) // 2
@@ -1214,12 +1222,7 @@ def bisect_fmax(
         else:
             lo_v = mid
     boundary, _ = _polish_boundary(ok, hi_c)
-    return FmaxResult(
-        period_limited=True,
-        period_ps=boundary,
-        method="bisect",
-        engine_runs=runs,
-    )
+    return answer(True, boundary)
 
 
 # ---------------------------------------------------------------------------

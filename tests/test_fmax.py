@@ -12,6 +12,8 @@ Three layers of evidence:
   engine is clean at Fmax and violating one picosecond below.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -19,8 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import VerifyConfig
+from repro.core.engine import Engine
 from repro.core.verifier import TimingVerifier
-from repro.sta import analyze
+from repro.session import Session
+from repro.sta import analyze, parametric
 from repro.sta.parametric import (
     Aff,
     _at_period,
@@ -244,3 +248,184 @@ class TestStaticSoundness:
         # And the static root really is statically meaningful: the engine
         # must be clean there (static-positive implies engine-clean).
         assert _engine_clean(circuit, static.period_ps)
+
+
+SHIFTER = "examples/designs/shifter.scald"
+SHIFTER_SDC = "examples/designs/shifter.sdc"
+
+
+def _shifter_with_sdc():
+    from repro.constraints import load_constraints
+    from repro.hdl.expander import MacroExpander
+
+    circuit = MacroExpander.from_file(SHIFTER).expand()
+    return circuit, load_constraints(SHIFTER_SDC, circuit)
+
+
+def _worst_miss(violations):
+    if not violations:
+        return None
+    return max((v.missed_by_ps or 0) for v in violations)
+
+
+def _fresh(circuit, period_ps, constraints=None):
+    """A from-scratch Session verify at ``period_ps``."""
+    with _at_period(circuit, period_ps):
+        return Session(circuit, constraints=constraints).verify()
+
+
+@pytest.fixture
+def probe_log(monkeypatch):
+    """Every engine run a solve makes: ``(period, violations, events)``."""
+    log = []
+    run = parametric._Prober.violations
+
+    def spy(self, period_ps):
+        found = run(self, period_ps)
+        log.append((period_ps, found, self.engine.stats.events))
+        return found
+
+    monkeypatch.setattr(parametric._Prober, "violations", spy)
+    return log
+
+
+def _assert_matches_fresh(circuit, log, constraints=None):
+    """Each probe equals a fresh Session at its period; returns the fresh
+    sessions' total events."""
+    total = 0
+    for period, found, events in log:
+        fresh = _fresh(circuit, period, constraints)
+        assert (not found) == fresh.ok, period
+        assert _worst_miss(found) == _worst_miss(fresh.violations), period
+        assert [v.message() for v in found] == [
+            v.message() for v in fresh.violations
+        ], period
+        assert events == fresh.stats.events, period
+        total += fresh.stats.events
+    return total
+
+
+_PROBED_DESIGNS = {
+    "synth60": lambda: (_synth_circuit(60, 1), None),
+    "fig_2_5": lambda: (figures.fig_2_5_register_file(), None),
+    "shifter_sdc": _shifter_with_sdc,
+}
+
+
+class TestSharedEngineProbes:
+    """Every probe of a solve runs on one engine, re-initialized per period;
+    each must say exactly what a fresh Session says at that period."""
+
+    @pytest.mark.parametrize("solver", [solve_fmax, bisect_fmax])
+    @pytest.mark.parametrize("design", sorted(_PROBED_DESIGNS))
+    def test_every_probe_equals_a_fresh_session(self, design, solver, probe_log):
+        circuit, constraints = _PROBED_DESIGNS[design]()
+        result = solver(circuit, constraints=constraints)
+        assert len(probe_log) == result.engine_runs > 1
+        fresh_events = _assert_matches_fresh(circuit, probe_log, constraints)
+        assert result.engine_events == fresh_events
+
+    @pytest.mark.parametrize("design", ["fig_2_5", "shifter_sdc"])
+    def test_no_state_leaks_between_periods(self, design):
+        """Down, up, then down again: each run matches a fresh session."""
+        circuit, constraints = _PROBED_DESIGNS[design]()
+        design_period = circuit.period_ps
+        periods = [
+            design_period,
+            design_period // 2,
+            design_period * 2,
+            design_period // 3,
+            design_period - 1,
+        ]
+        prober = parametric._Prober(circuit, VerifyConfig(), constraints)
+        for period in periods:
+            found = prober.violations(period)
+            fresh = _fresh(circuit, period, constraints)
+            assert [v.message() for v in found] == [
+                v.message() for v in fresh.violations
+            ], period
+            assert _worst_miss(found) == _worst_miss(fresh.violations)
+        assert circuit.period_ps == design_period
+        assert prober.runs == len(periods)
+
+    def test_reinitialized_engine_equals_fresh_engine(self):
+        circuit, constraints = _shifter_with_sdc()
+        cases = circuit.cases or [{}]
+
+        def converge(engine):
+            engine.initialize(cases[0])
+            return [
+                (index, events, [v.message() for v in found], engine.snapshot())
+                for index, events, found in engine.run_cases(cases)
+            ]
+
+        reused = Engine(circuit, constraints=constraints)
+        converge(reused)  # at the design period
+        with _at_period(circuit, 20000):
+            got = converge(reused)
+            fresh = Engine(circuit, constraints=constraints)
+            want = converge(fresh)
+        assert reused.period == fresh.period == 20000
+        assert got == want
+        assert reused.stats.events == fresh.stats.events
+
+    def test_each_solve_builds_exactly_one_engine(self, monkeypatch):
+        built = []
+        init = Engine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(weakref.ref(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "__init__", counting_init)
+        # fig_2_5's solve falls back to bisection: still one engine.
+        for solver, builder in [
+            (solve_fmax, lambda: _synth_circuit(60, 1)),
+            (bisect_fmax, lambda: _synth_circuit(60, 1)),
+            (solve_fmax, figures.fig_2_5_register_file),
+        ]:
+            built.clear()
+            result = solver(builder())
+            assert result.engine_runs > 1
+            assert len(built) == 1
+            gc.collect()
+            assert built[0]() is None, "the engine outlived its solve"
+
+    def test_invalid_circuit_still_raises(self):
+        from repro import Circuit, InvalidCircuitError
+
+        circuit = Circuit("t", period_ns=50.0, clock_unit_ns=6.25)
+        circuit.add("r", "REG", {"CLOCK": "CK", "OUT": "Q"})
+        with pytest.raises(InvalidCircuitError):
+            bisect_fmax(circuit)
+
+    @pytest.mark.parametrize(
+        "builder, binding, terminal, hops",
+        [
+            (figures.fig_1_5_gated_clock, None, "", []),
+            (figures.fig_2_6_case_analysis, None, "", []),
+            (figures.fig_4_1_correlation, None, "", []),
+            (
+                figures.fig_2_5_register_file,
+                ("rf/su addr", "ADR"),
+                "stable-assertion",
+                [("adr mux", "MUX2", "ADR", (1200, 3300))],
+            ),
+        ],
+        ids=["fig_1_5", "fig_2_6", "fig_4_1", "fig_2_5"],
+    )
+    def test_binding_and_witness_unchanged(self, builder, binding, terminal, hops):
+        """The fallback names its binding from the probe record."""
+        result = solve_fmax(builder())
+        rec = result.binding
+        assert (rec and (rec.component, rec.signal)) == binding
+        assert result.witness_terminal == terminal
+        assert [(h.component, h.prim, h.net, h.delay) for h in result.witness] == hops
+
+    def test_engine_events_reported(self):
+        from repro.reporting.stafmt import fmax_doc, fmax_text
+
+        result = solve_fmax(figures.fig_2_5_register_file())
+        assert result.engine_events > 0
+        assert fmax_doc(result)["cost"]["engine_events"] == result.engine_events
+        assert f"({result.engine_events} events)" in fmax_text(result)

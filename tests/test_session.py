@@ -106,3 +106,41 @@ class TestSessionStatic:
         assert session.reverify(prescreen=False).ok
         session.edit(ConstraintsEdit(clear=True))
         assert not session.reverify(prescreen=False).ok
+
+
+class TestSessionSurvivesFmax:
+    def test_reverify_stays_incremental_after_fmax(self):
+        """fmax() probes on its own engine: the session's converged state,
+        and so the next reverify's dirty cone, are left as they were."""
+        from repro.incremental import WireDelayEdit, assert_incremental_equivalent
+        from repro.workloads.synth import SynthConfig, generate
+
+        circuit, _ = generate(SynthConfig(chips=60, seed=1)).circuit()
+        session = Session(circuit)
+        session.verify()
+        engine, period = session.engine, circuit.period_ps
+        res = session.fmax()
+        assert res.period_limited and res.engine_runs > 1
+        assert session.engine is engine and engine.period == period
+        assert circuit.period_ps == period
+        net = next(n for n in circuit.nets if n.startswith("S0 R "))
+        session.edit(WireDelayEdit(net, (0.0, 0.4)))
+        inc = assert_incremental_equivalent(session, prescreen=False)
+        assert inc.incremental
+        total = sum(1 for c in circuit.iter_components() if not c.prim.is_checker)
+        assert 0 < inc.stats.dirty_primitives < total
+
+    def test_timebase_restored_when_a_probe_raises(self, monkeypatch):
+        from repro.core.engine import Engine
+
+        session = Session.from_file(SHIFTER)
+        session.verify()
+        timebase = session.circuit.timebase
+
+        def boom(self):
+            raise RuntimeError("probe failed")
+
+        monkeypatch.setattr(Engine, "run", boom)
+        with pytest.raises(RuntimeError, match="probe failed"):
+            session.fmax()
+        assert session.circuit.timebase is timebase
