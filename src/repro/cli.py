@@ -255,6 +255,11 @@ def main(argv: list[str] | None = None) -> int:
         for violation in result.violations:
             say(explain_violation(circuit, result, violation, config))
             say()
+    if args.stats or args.profile:
+        # Table 3-1 counts generating the summary listing as a phase of
+        # the run; render it (printed only with --summary) so that row of
+        # the statistics measures the work.
+        result.summary_listing(case=args.case)
     if args.stats:
         say()
         say(expander.stats.table())

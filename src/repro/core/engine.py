@@ -114,6 +114,13 @@ class EngineStats:
     incremental_runs: int = 0
     dirty_primitives: int = 0
     reused_waveforms: int = 0
+    #: Nets whose initial-value class was (re)derived: every net on a full
+    #: run, only the edited and case-disturbed ones on an incremental run.
+    nets_reclassified: int = 0
+    #: Checker components whose verdict was computed (memo hits included),
+    #: summed over cases: every checker on a full run, only those with a
+    #: changed input or an edit on an incremental run.
+    checkers_visited: int = 0
 
     @property
     def events_last_case(self) -> int:
@@ -165,6 +172,8 @@ class EngineStats:
             out.incremental_runs += s.incremental_runs
             out.dirty_primitives += s.dirty_primitives
             out.reused_waveforms += s.reused_waveforms
+            out.nets_reclassified += s.nets_reclassified
+            out.checkers_visited += s.checkers_visited
             out.levelize_seconds = max(out.levelize_seconds, s.levelize_seconds)
             out.max_rank = max(out.max_rank, s.max_rank)
         return out
@@ -265,6 +274,11 @@ class Engine:
         #: on the scalar fast path.
         self._word_needed = False
         self._fixed: set[Net] = set()
+        #: Every representative net, as of the last full classification
+        #: (edits change the set only together with the topology).
+        self._reps: list[Net] = []
+        #: Nets in the assumed-stable class (``xref_assumed_stable``).
+        self._assumed: set[Net] = set()
         self._gating: dict[str, str] = {}  # component name -> directive pin
         self._eval_counts: dict[str, int] = {}
         #: Worklist: a FIFO deque in the naive engine, a rank-keyed heap of
@@ -278,12 +292,30 @@ class Engine:
         self._loads: dict[Net, list[Component]] = {}
         # Evaluation caches (section "Performance architecture" in DESIGN.md).
         self._prepared_cache: dict[tuple, tuple[Waveform, Waveform]] = {}
+        #: Whether the prepared cache holds any per-lane entry.
+        self._lane_keyed = False
         self._eval_memo: OrderedDict[tuple, Waveform] = OrderedDict()
         #: Content-keyed checker-verdict memo: the violations of one checker
         #: are a pure function of its raw inputs, connection fields, wire
         #: delays, parameters and constraints, so an incremental re-verify
         #: skips the (dominant) re-checking of untouched checkers entirely.
         self._check_memo: OrderedDict[tuple, list[Violation]] = OrderedDict()
+        #: Changed-only checking: every net whose stored value changed, in
+        #: store order, from absolute position ``_log_base`` on; the log
+        #: position at which each case's checks were computed; their
+        #: records (non-empty ones only), per case and checker or gate;
+        #: and the edited components, re-checked in every case of a run.
+        self._store_log: list[Net] = []
+        self._log_base = 0
+        self._checked_at: dict[int, int] = {}
+        self._records: dict[int, dict[str, list[Violation]]] = {}
+        self._gated: dict[int, dict[str, list[Violation]]] = {}
+        self._recheck: set[str] = set()
+        #: Driven nets carrying a stable assertion, in representative
+        #: order: the nets the assertion check covers.
+        self._asserted: list[Net] = []
+        self._checkers: list[Component] = []
+        self._checker_pos: dict[str, int] = {}
         # Levelized schedule: topological rank per component over the
         # combinational graph, computed once per engine (and again only
         # after a topology edit, via rebuild_topology).
@@ -307,6 +339,11 @@ class Engine:
                 self._drivers[self.circuit.find(conn.net)] = (comp, pin)
             for pin, conn in comp.input_pins():
                 self._loads.setdefault(self.circuit.find(conn.net), []).append(comp)
+        self._checkers = [
+            c for c in self.circuit.iter_components() if c.prim.is_checker
+        ]
+        self._checker_pos = {c.name: k for k, c in enumerate(self._checkers)}
+        self._checked_at.clear()
         if self.config.levelized_scheduling:
             t0 = time.perf_counter()
             self._ranks = self._compute_ranks()
@@ -317,6 +354,7 @@ class Engine:
         """Swap the resolved constraint set, invalidating cached verdicts."""
         self.constraints = constraints
         self._constraints_token += 1
+        self._checked_at.clear()
 
     def _compute_ranks(self) -> dict[str, int]:
         """Topological depth of every non-checker component.
@@ -493,25 +531,35 @@ class Engine:
         self.period = self.circuit.period_ps
         self.values.clear()
         self._fixed.clear()
-        self.xref_assumed_stable.clear()
+        self._assumed.clear()
         self._eval_counts.clear()
         self._gating.clear()
         self._queue.clear()
         self._heap.clear()
         self._queued.clear()
         self._prepared_cache.clear()
+        self._lane_keyed = False
         self._eval_memo.clear()
         self._check_memo.clear()
+        self._store_log.clear()
+        self._log_base = 0
+        self._checked_at.clear()
+        self._records.clear()
+        self._gated.clear()
+        self._recheck.clear()
         self.stats = EngineStats(
             levelize_seconds=self._levelize_seconds, max_rank=self._max_rank
         )
         self._lanes.clear()
         self._case_map, self._lane_case = self._build_case_map(case or {})
-        for rep in self.circuit.representatives():
+        reps = self._reps = self.circuit.representatives()
+        for rep in reps:
             raw, caseable = self._initial_value_raw(rep)
             base = self._apply_case(rep, raw) if caseable else raw
             self.values[rep] = base = self._intern(base)
             self._set_initial_lanes(rep, raw, base, caseable)
+        self._sync_classes(reps)
+        self.stats.nets_reclassified = len(reps)
         self._word_needed = bool(self._lane_case)
         for comp in self.circuit.iter_components():
             if not comp.prim.is_checker:
@@ -625,8 +673,22 @@ class Engine:
         # Undefined signal with no assertion: taken to be always stable and
         # put on a special cross-reference listing (section 2.5).
         self._fixed.add(rep)
-        self.xref_assumed_stable.append(rep.name)
+        self._assumed.add(rep)
         return Waveform.constant(self.period, STABLE), True
+
+    def _sync_classes(self, reps: list[Net]) -> None:
+        """Rebuild the per-class net lists, in representative order: the
+        assumed-stable listing and the driven nets the assertion check
+        covers."""
+        assumed = self._assumed
+        self.xref_assumed_stable[:] = [r.name for r in reps if r in assumed]
+        self._asserted = [
+            r
+            for r in reps
+            if r.assertion is not None
+            and not r.assertion.kind.is_clock
+            and r in self._drivers
+        ]
 
     # ------------------------------------------------------------------
     # fixed point
@@ -663,6 +725,7 @@ class Engine:
         if prev is wf or prev == wf:
             return
         self.values[rep] = wf
+        self._store_log.append(rep)
         self.stats.events += 1
         if rep.width > 1:
             self.stats.vector_events += 1
@@ -692,6 +755,7 @@ class Engine:
         ) == over:
             return
         self.values[rep] = base
+        self._store_log.append(rep)
         if over:
             self._lanes[rep] = dict(over)
             self.stats.lane_splits += 1
@@ -740,8 +804,11 @@ class Engine:
             index = first_index + i
             yield index, events, self.check(case_index=index)
 
-    def apply_case(self, case: dict[str, int]) -> None:
-        """Switch to the next case, disturbing only affected signals."""
+    def apply_case(self, case: dict[str, int]) -> set[Net]:
+        """Switch to the next case, disturbing only affected signals.
+
+        Returns the affected nets: those whose case constant changed.
+        """
         new_map, new_lanes = self._build_case_map(case)
         affected = {
             rep
@@ -764,27 +831,38 @@ class Engine:
                 # lane overrides at that store).
                 self._enqueue(self._drivers[rep][0])
             else:
-                raw, caseable = self._case_change_raw(rep)
-                base = self._intern(self._apply_case(rep, raw)) if caseable else raw
-                over: dict[int, Waveform] = {}
-                lc = self._lane_case.get(rep)
-                if lc and caseable:
-                    for lane in sorted(lc):
-                        wf = self._intern(self._apply_lane_case(rep, lane, raw))
-                        if wf != base:
-                            over[lane] = wf
-                if self.values.get(rep) != base or self._lanes.get(rep, {}) != over:
-                    self.values[rep] = base
-                    if over:
-                        self._lanes[rep] = over
-                        self.stats.lane_splits += 1
-                    else:
-                        self._lanes.pop(rep, None)
-                    self.stats.events += 1
-                    if rep.width > 1:
-                        self.stats.vector_events += 1
-                    for load in self._loads.get(rep, ()):
-                        self._enqueue(load)
+                self._restore(rep, *self._case_change_raw(rep))
+        return affected
+
+    def _restore(self, rep: Net, raw: Waveform, caseable: bool) -> bool:
+        """Re-store an undriven net's value under the current case mapping.
+
+        Returns True, counting an event and queueing the net's loads, when
+        the stored value (base or lane overrides) changed.
+        """
+        base = self._intern(self._apply_case(rep, raw) if caseable else raw)
+        over: dict[int, Waveform] = {}
+        lc = self._lane_case.get(rep)
+        if lc and caseable:
+            for lane in sorted(lc):
+                wf = self._intern(self._apply_lane_case(rep, lane, raw))
+                if wf != base:
+                    over[lane] = wf
+        if self.values.get(rep) == base and self._lanes.get(rep, {}) == over:
+            return False
+        self.values[rep] = base
+        self._store_log.append(rep)
+        if over:
+            self._lanes[rep] = over
+            self.stats.lane_splits += 1
+        else:
+            self._lanes.pop(rep, None)
+        self.stats.events += 1
+        if rep.width > 1:
+            self.stats.vector_events += 1
+        for load in self._loads.get(rep, ()):
+            self._enqueue(load)
+        return True
 
     def _case_change_raw(self, rep: Net) -> tuple[Waveform, bool]:
         assertion = rep.assertion
@@ -810,9 +888,14 @@ class Engine:
         ids = {id(c) for c in conns}
         if not ids:
             return
-        stale = [key for key in self._prepared_cache if key[0] in ids]
-        for key in stale:
-            del self._prepared_cache[key]
+        cache = self._prepared_cache
+        for key in ids:
+            cache.pop((key, False), None)
+            cache.pop((key, True), None)
+        if self._lane_keyed:
+            # Per-lane entries carry the lane index in their key too.
+            for key in [k for k in cache if len(k) == 3 and k[0] in ids]:
+                del cache[key]
 
     def _dirty_cone(self, seeds: Iterable[Component]) -> set[str]:
         """Names of every evaluated primitive in the seeds' transitive fanout.
@@ -841,14 +924,20 @@ class Engine:
         return seen
 
     def incremental_begin(
-        self, case: dict[str, int] | None, dirty: Iterable[Component]
+        self,
+        case: dict[str, int] | None,
+        dirty: Iterable[Component],
+        *,
+        nets: Iterable[Net] = (),
+        checkers: Iterable[Component] = (),
+        everything: bool = False,
     ) -> None:
         """Re-enter the fixed point after circuit edits, reusing state.
 
         The alternative to :meth:`initialize` for a circuit already
         verified by this engine: stored waveforms, the intern table, the
         evaluation memo and the prepared-input cache all survive; only
-        the ``dirty`` components (plus anything the reclassification scan
+        the ``dirty`` components (plus anything the reclassification
         below disturbs) are enqueued.  Correctness rests on the same
         argument as :meth:`apply_case` and the parallel case blocks: for
         a legal synchronous design the fixed point is unique, so any
@@ -860,14 +949,17 @@ class Engine:
         1. ``apply_case`` switches from the last run's final case mapping
            back to ``case`` (normally ``cases[0]``), disturbing exactly
            the case-affected signals.
-        2. A reclassification scan re-derives the initial-value class of
-           every representative (supply / clock assertion / driven /
-           asserted / input-delay / assumed-stable) — edits can move nets
-           between classes — re-storing fixed-class nets whose waveform
-           changed and rebuilding the assumed-stable cross-reference.
-           Driven nets keep their stored waveforms (counted as
-           ``reused_waveforms``).
-        3. The ``dirty`` components are enqueued to seed the worklist.
+        2. The initial-value class (supply / clock assertion / driven /
+           asserted / input-delay / assumed-stable) of the edited
+           ``nets`` and the case-affected ones is re-derived; fixed-class
+           nets whose waveform changed are re-stored and the
+           assumed-stable cross-reference is updated if a net entered or
+           left that class.  ``everything`` (topology, structure or
+           constraints dirt) re-derives every net and drops every kept
+           checker verdict.  Every other stored waveform is carried over
+           (counted as ``reused_waveforms``).
+        3. The ``dirty`` components are enqueued to seed the worklist;
+           the edited ``checkers`` are re-checked in every case.
         """
         if not self.values:
             raise RuntimeError(
@@ -884,42 +976,32 @@ class Engine:
             max_rank=self._max_rank,
             incremental_runs=1,
         )
-        self.apply_case(case or {})
-        reused = 0
-        self._fixed.clear()
-        self.xref_assumed_stable.clear()
-        for rep in self.circuit.representatives():
+        affected = self.apply_case(case or {})
+        if everything:
+            self._fixed.clear()
+            self._assumed.clear()
+            self._checked_at.clear()
+            reps = self._reps = self.circuit.representatives()
+        else:
+            reps = list(dict.fromkeys([*nets, *affected]))
+        moved = everything
+        restored = 0
+        for rep in reps:
+            was = rep in self._assumed
+            self._fixed.discard(rep)
+            self._assumed.discard(rep)
             raw, caseable = self._initial_value_raw(rep)
-            if rep not in self._fixed:
-                # Driven net: its stored waveform is the converged value
-                # unless an upstream evaluation stores a new one.
-                reused += 1
-                continue
-            base = self._intern(self._apply_case(rep, raw) if caseable else raw)
-            over: dict[int, Waveform] = {}
-            lc = self._lane_case.get(rep)
-            if lc and caseable:
-                for lane in sorted(lc):
-                    wf = self._intern(self._apply_lane_case(rep, lane, raw))
-                    if wf != base:
-                        over[lane] = wf
-            if self.values.get(rep) == base and self._lanes.get(rep, {}) == over:
-                reused += 1
-                continue
-            self.values[rep] = base
-            if over:
-                self._lanes[rep] = over
-                self.stats.lane_splits += 1
-            else:
-                self._lanes.pop(rep, None)
-            self.stats.events += 1
-            if rep.width > 1:
-                self.stats.vector_events += 1
-            for load in self._loads.get(rep, ()):
-                self._enqueue(load)
+            moved = moved or was != (rep in self._assumed)
+            if rep in self._fixed and self._restore(rep, raw, caseable):
+                restored += 1
+        if moved:
+            self._sync_classes(self._reps)
         for comp in dirty:
             self._enqueue(comp)
-        self.stats.reused_waveforms = reused
+        self._recheck = {c.name for c in checkers}
+        self._recheck.update(c.name for c in dirty)
+        self.stats.nets_reclassified = len(reps)
+        self.stats.reused_waveforms = len(self.values) - restored
         self.stats.dirty_primitives = len(self._dirty_cone(dirty))
 
     # ------------------------------------------------------------------
@@ -1006,6 +1088,7 @@ class Engine:
         self.stats.prepared_misses += 1
         prepared = self._intern(self._prepare(conn, raw, zero_wire))
         self._prepared_cache[key] = (raw, prepared)
+        self._lane_keyed = True
         return prepared
 
     def _evaluate(self, comp: Component) -> None:
@@ -1178,13 +1261,63 @@ class Engine:
     # ------------------------------------------------------------------
 
     def check(self, case_index: int = 0) -> list[Violation]:
-        """Evaluate every checker against the converged signal values."""
-        violations: list[Violation] = []
-        for comp in self.circuit.iter_components():
-            if not comp.prim.is_checker:
-                continue
-            violations.extend(self._check_one(comp, case_index))
-        violations.extend(self._check_gating(case_index))
+        """Evaluate the checkers against the converged signal values.
+
+        The first check of a case after :meth:`initialize` (or after a
+        topology or constraints change) visits every checker and every
+        gate with an ``&A``/``&H`` stability check.  A later check of the
+        same case visits only those reading a net stored since that case
+        was last checked — by this run's earlier cases as much as by the
+        previous run's later ones — and the edited ones; every other
+        one's records from the last check of this case still hold, and
+        are reused.
+        """
+        records = self._records.setdefault(case_index, {})
+        gated = self._gated.setdefault(case_index, {})
+        since = self._checked_at.get(case_index)
+        if since is None:
+            records.clear()
+            gated.clear()
+            visit = self._checkers
+            regate = list(self._gating)
+        else:
+            names = set(self._recheck)
+            loads = self._loads
+            for rep in set(self._store_log[since - self._log_base:]):
+                names.update(load.name for load in loads.get(rep, ()))
+            components = self.circuit.components
+            visit = [
+                components[name]
+                for name in names
+                if components[name].prim.is_checker
+            ]
+            regate = [n for n in names if n in self._gating or n in gated]
+        for comp in visit:
+            found = self._check_one(comp, case_index)
+            if found:
+                records[comp.name] = found
+            else:
+                records.pop(comp.name, None)
+        for name in regate:
+            found = self._check_gating(name, case_index)
+            if found:
+                gated[name] = found
+            else:
+                gated.pop(name, None)
+        self.stats.checkers_visited += len(visit)
+        self._checked_at[case_index] = self._log_base + len(self._store_log)
+        # Stores every case has been checked past are of no further use.
+        low = min(self._checked_at.values())
+        if low > self._log_base:
+            del self._store_log[: low - self._log_base]
+            self._log_base = low
+        pos = self._checker_pos
+        violations = [
+            v for name in sorted(records, key=pos.__getitem__)
+            for v in records[name]
+        ]
+        for name in sorted(gated):
+            violations.extend(gated[name])
         if self.config.check_assertions:
             violations.extend(self._check_assertions(case_index))
         if self.constraints is not None:
@@ -1553,30 +1686,24 @@ class Engine:
             case_index=case_index,
         )
 
-    def _check_gating(self, case_index: int) -> list[Violation]:
-        """The ``&A``/``&H`` stability checks recorded during evaluation."""
-        out: list[Violation] = []
-        for comp_name, directive_pin in sorted(self._gating.items()):
-            comp = self.circuit.components[comp_name]
-            if self._word_needed and self._comp_diverged(comp):
+    def _check_gating(self, comp_name: str, case_index: int) -> list[Violation]:
+        """The ``&A``/``&H`` stability checks recorded for one gate during
+        evaluation (none when it no longer carries an assume directive)."""
+        directive_pin = self._gating.get(comp_name)
+        if directive_pin is None:
+            return []
+        comp = self.circuit.components[comp_name]
+        if self._word_needed and self._comp_diverged(comp):
 
-                def impl(
-                    c, ci, raw_of, prepared_of, _pin: str = directive_pin
-                ) -> list[Violation]:
-                    return self._check_gating_impl(c, _pin, ci, raw_of, prepared_of)
+            def impl(
+                c, ci, raw_of, prepared_of, _pin: str = directive_pin
+            ) -> list[Violation]:
+                return self._check_gating_impl(c, _pin, ci, raw_of, prepared_of)
 
-                out.extend(self._lane_variants(comp, case_index, impl))
-            else:
-                out.extend(
-                    self._check_gating_impl(
-                        comp,
-                        directive_pin,
-                        case_index,
-                        self._raw_of,
-                        self.prepared_input,
-                    )
-                )
-        return out
+            return self._lane_variants(comp, case_index, impl)
+        return self._check_gating_impl(
+            comp, directive_pin, case_index, self._raw_of, self.prepared_input
+        )
 
     def _check_gating_impl(
         self, comp: Component, directive_pin: str, case_index: int, raw_of, prepared_of
@@ -1605,15 +1732,8 @@ class Engine:
     def _check_assertions(self, case_index: int) -> list[Violation]:
         """Generated signals must honour their stable assertions."""
         out: list[Violation] = []
-        for rep in self.circuit.representatives():
-            assertion = rep.assertion
-            if (
-                assertion is None
-                or assertion.kind.is_clock
-                or rep not in self._drivers
-            ):
-                continue
-            asserted = assertion.waveform(self.circuit.timebase)
+        for rep in self._asserted:
+            asserted = rep.assertion.waveform(self.circuit.timebase)
             over = self._lanes.get(rep)
             if over:
                 cache: dict[Waveform, list[Violation]] = {}
@@ -1642,7 +1762,8 @@ class Engine:
 
     def snapshot(self) -> dict[str, Waveform]:
         """The converged waveform of every representative signal, by name."""
-        return {rep.name: self.values[rep] for rep in self.circuit.representatives()}
+        values = self.values
+        return {rep.name: values[rep] for rep in self._reps}
 
     def waveform_of(self, name: str) -> Waveform:
         net = self.circuit.nets.get(name)

@@ -9,6 +9,7 @@ benchmarks can print the same rows the thesis reports.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from ..netlist.circuit import Circuit
@@ -97,6 +98,11 @@ class VerificationResult:
     phases_cpu: PhaseTimes | None = None
     #: Warm-pool counters at the end of this run; None for serial runs.
     pool: "PoolStats | None" = None
+    #: Summary listings rendered so far, by case.
+    _summaries: dict[int, str] = field(default_factory=dict, repr=False)
+    #: The pool's live counters, so a snapshot fetched by a later listing
+    #: still counts in ``pool``.
+    _pool_live: "PoolStats | None" = field(default=None, repr=False)
 
     @property
     def violations(self) -> list[Violation]:
@@ -115,10 +121,32 @@ class VerificationResult:
         return self.cases[case].waveforms[signal]
 
     def summary_listing(self, case: int = 0) -> str:
-        """The Figure 3-10 style signal-value listing."""
+        """The Figure 3-10 style signal-value listing.
+
+        Rendered on first read, once per case: the render time is added
+        to ``phases.summary`` (and ``phases_cpu.summary``), so a run whose
+        listing nobody reads spends nothing on it.
+        """
+        text = self._summaries.get(case)
+        if text is not None:
+            return text
         from ..reporting.listing import timing_summary
 
-        return timing_summary(self, case=case)
+        live = self._pool_live
+        before = live.copy() if live is not None else None
+        t0, c0 = time.perf_counter(), time.process_time()
+        text = self._summaries[case] = timing_summary(self, case=case)
+        self.phases.summary += time.perf_counter() - t0
+        if self.phases_cpu is not None:
+            self.phases_cpu.summary += time.process_time() - c0
+        if live is not None:
+            # The snapshot fetch's traffic, added to this result's copy.
+            for name, value in vars(live).items():
+                setattr(
+                    self.pool, name,
+                    getattr(self.pool, name) + value - getattr(before, name),
+                )
+        return text
 
     def error_listing(self) -> str:
         """The Figure 3-11 style violation listing."""

@@ -10,13 +10,20 @@ folds what it dirtied into a :class:`PendingDirty` accumulator:
 * ``components`` — primitives whose next evaluation may produce a new
   output; :meth:`Engine.incremental_begin` seeds the worklist with them
   and lets event propagation walk the rest of the cone.
+* ``checkers`` — checkers whose verdict may change with no input value
+  changing (edited setup/hold, or a changed wire delay at an input).
+* ``nets`` — the nets an edit touched, whose initial-value class is
+  re-derived.
 * ``stale_connections`` — connections whose prepared-input cache entries
   must be purged because their effective wire delay changed (the cache
   validates by raw-waveform identity only) or because the Connection
   object itself was retired (``id()`` reuse hazard).
 * ``topology`` — the driver/load maps and levelized ranks need a rebuild.
 
-Everything outside the dirty cone keeps its stored waveform verbatim; the
+The session keeps two accumulators, one for the engine and one for the
+static prescreen (:mod:`repro.sta`), which updates its windows and slack
+from the same dirt.  Everything outside the dirty cone keeps its stored
+waveform verbatim; the
 uniqueness of the fixed point (the same argument behind §2.7 case
 analysis and the parallel case blocks) makes the incremental result
 byte-identical to a from-scratch run — and
@@ -60,6 +67,13 @@ class PendingDirty:
     """What the edits since the last (re)verification have dirtied."""
 
     components: dict[str, Component] = field(default_factory=dict)
+    #: Checkers whose verdict may have changed: edited parameters, or an
+    #: input whose wire delay changed.  Kept apart from ``components``
+    #: because a checker is never evaluated, only re-checked.
+    checkers: dict[str, Component] = field(default_factory=dict)
+    #: Representative nets an edit touched (wire delay, assertion,
+    #: rewiring), in edit order; their initial-value class is re-derived.
+    nets: dict[Net, None] = field(default_factory=dict)
     stale_connections: list[Connection] = field(default_factory=list)
     topology: bool = False
     #: Structural validation must re-run: set by edits that touch what the
@@ -67,16 +81,30 @@ class PendingDirty:
     #: Wire-delay and timing-parameter edits never affect those rules, so
     #: the session reuses its cached warnings for them.
     structure: bool = False
+    #: The SDC constraint set was swapped (a :class:`ConstraintsEdit`).
+    constraints: bool = False
 
-    def clear(self) -> None:
-        self.components.clear()
-        self.stale_connections.clear()
-        self.topology = False
-        self.structure = False
+    @property
+    def rescan(self) -> bool:
+        """Does this dirt invalidate whole-design state (net classes,
+        every checker verdict, the static index)?"""
+        return self.topology or self.structure or self.constraints
 
     def merge_component(self, comp: Component) -> None:
-        if not comp.prim.is_checker:
+        if comp.prim.is_checker:
+            self.checkers[comp.name] = comp
+        else:
             self.components[comp.name] = comp
+
+    def merge(self, other: "PendingDirty") -> None:
+        """Fold ``other``'s dirt into this accumulator."""
+        self.components.update(other.components)
+        self.checkers.update(other.checkers)
+        self.nets.update(other.nets)
+        self.stale_connections.extend(other.stale_connections)
+        self.topology |= other.topology
+        self.structure |= other.structure
+        self.constraints |= other.constraints
 
 
 def _touch_net(circuit: Circuit, rep: Net, pending: PendingDirty) -> None:
@@ -86,24 +114,20 @@ def _touch_net(circuit: Circuit, rep: Net, pending: PendingDirty) -> None:
     connections may have changed — a direct wire-delay edit, or a
     topology edit under the per-load delay rule (section 3.3), where the
     delay of *every* connection on the net depends on the load count.
+    The readers come from the circuit's net index, so the cost is the
+    net's fanout, not the design.
     """
-    for comp in circuit.iter_components():
-        touched = False
-        for _pin, conn in comp.input_pins():
-            if circuit.find(conn.net) is rep:
-                touched = True
-                if conn.wire_delay_ps is None:
-                    pending.stale_connections.append(conn)
-        if touched:
-            pending.merge_component(comp)
+    pending.nets[rep] = None
+    for comp, pin in circuit.loads_of(rep):
+        conn = comp.pins[pin]
+        if conn.wire_delay_ps is None:
+            pending.stale_connections.append(conn)
+        pending.merge_component(comp)
 
 
 def _driver_of(circuit: Circuit, rep: Net) -> Component | None:
-    for comp in circuit.iter_components():
-        for _pin, conn in comp.output_pins():
-            if circuit.find(conn.net) is rep:
-                return comp
-    return None
+    drivers = circuit.drivers_of(rep)
+    return drivers[0][0] if drivers else None
 
 
 def _require_net(circuit: Circuit, name: str) -> Net:
@@ -212,14 +236,15 @@ class ReconnectEdit:
         old = comp.pins.get(self.pin)
         conn = circuit._as_connection(self.target, width=comp.width)
         comp.pins[self.pin] = conn
+        circuit.topology_changed()
         pending.topology = True
         pending.structure = True
         pending.merge_component(comp)
-        reps = {circuit.find(conn.net)}
+        reps = [circuit.find(conn.net)]
         if old is not None:
             pending.stale_connections.append(old)
-            reps.add(circuit.find(old.net))
-        for rep in reps:
+            reps.append(circuit.find(old.net))
+        for rep in dict.fromkeys(reps):
             _touch_net(circuit, rep, pending)
             driver = _driver_of(circuit, rep)
             if driver is not None:
@@ -252,6 +277,7 @@ class AssertionEdit:
                     f"{self.assertion!r} is not a timing assertion"
                 )
         rep.assertion = new
+        pending.nets[rep] = None
         pending.structure = True
         old_clock = old is not None and old.kind.is_clock
         new_clock = new is not None and new.kind.is_clock
@@ -434,7 +460,10 @@ def assert_incremental_equivalent(session, prescreen: bool = False):
     :class:`~repro.core.verifier.TimingVerifier` on the *same* edited
     circuit, then asserts the outputs a user can observe are
     byte-identical: the error listing, the per-case summary listings, and
-    the assumed-stable cross-reference.  (Work counters legitimately
+    the assumed-stable cross-reference.  With ``prescreen=True`` the
+    incrementally updated static analysis is policed too, against a
+    from-scratch :func:`repro.sta.analyze`: the prescreen verdict, every
+    net's windows and every slack record.  (Work counters legitimately
     differ — an incremental run pays for the cone, not the circuit.)
     Returns the incremental result.  This is the same differential-oracle
     pattern ``repro.wordcheck`` uses for word-level evaluation.
@@ -446,7 +475,55 @@ def assert_incremental_equivalent(session, prescreen: bool = False):
         session.circuit, session.config, constraints=session.constraints
     ).verify()
     _assert_results_match(inc.result, scratch)
+    if prescreen:
+        _assert_static_match(session, inc.prescreen)
     return inc
+
+
+def _assert_static_match(session, pre) -> None:
+    from .sta import analyze
+
+    kept = session._static
+    fresh = analyze(
+        session.circuit, session.config, constraints=session.constraints
+    )
+    slacks = [r.slack_ps for r in fresh.slack if r.slack_ps is not None]
+    worst = min(slacks, default=None)
+    indeterminate = sum(
+        1 for r in fresh.slack if r.slack_ps is None and not r.waived
+    )
+    want = (
+        fresh.ok and not fresh.cdc_errors and not indeterminate,
+        worst,
+        len(fresh.cdc_errors),
+        indeterminate,
+    )
+    got = (pre.ok, pre.worst_slack_ps, pre.cdc_errors, pre.indeterminate)
+    if got != want:
+        raise AssertionError(
+            "incremental prescreen (ok, worst slack, CDC errors, "
+            f"indeterminate) diverges from scratch: {got} != {want}"
+        )
+    for net, windows in fresh.windows.windows.items():
+        if kept.windows.windows.get(net) != windows:
+            raise AssertionError(
+                f"incremental static windows of {net.name!r} diverge from "
+                f"scratch:\n  incremental: {kept.windows.windows.get(net)}"
+                f"\n  scratch:     {windows}"
+            )
+    if len(kept.windows.windows) != len(fresh.windows.windows):
+        raise AssertionError("incremental static window map has extra nets")
+    for got_rec, want_rec in zip(kept.slack, fresh.slack):
+        if got_rec != want_rec:
+            raise AssertionError(
+                "incremental slack records diverge from scratch:\n"
+                f"  incremental: {got_rec}\n  scratch:     {want_rec}"
+            )
+    if len(kept.slack) != len(fresh.slack):
+        raise AssertionError(
+            f"incremental prescreen kept {len(kept.slack)} slack records, "
+            f"scratch has {len(fresh.slack)}"
+        )
 
 
 def _assert_results_match(inc, scratch) -> None:

@@ -239,6 +239,8 @@ class Circuit:
         self.components: dict[str, Component] = {}
         self.cases: list[dict[str, int]] = []
         self._alias_parent: dict[Net, Net] = {}
+        #: Lazily built per-net driver/reader index (see :meth:`_net_index`).
+        self._index: tuple | None = None
 
     def __getstate__(self) -> dict:
         """Pickle hook: flatten the union-find first.
@@ -252,7 +254,7 @@ class Circuit:
         """
         for net in list(self._alias_parent):
             self.find(net)
-        return self.__dict__
+        return {**self.__dict__, "_index": None}
 
     # ------------------------------------------------------------------
     # nets and aliases
@@ -288,6 +290,7 @@ class Circuit:
         if rb.assertion is not None and ra.assertion is None:
             ra, rb = rb, ra
         self._alias_parent[rb] = ra
+        self._index = None
         if rb.width > ra.width:
             ra.width = rb.width
 
@@ -366,6 +369,7 @@ class Circuit:
                 raise NetlistError(f"{prim.name} has no pin {pin!r}")
             comp.pins[pin] = self._as_connection(ref, width=width)
         self.components[name] = comp
+        self._index = None
         return comp
 
     def _auto_name(self, prefix: str) -> str:
@@ -584,23 +588,33 @@ class Circuit:
     # queries
     # ------------------------------------------------------------------
 
+    def topology_changed(self) -> None:
+        """Drop the driver/reader index after a pin was rewired in place."""
+        self._index = None
+
+    def _net_index(self) -> tuple[int, dict, dict]:
+        """``(components, drivers, readers)``: per representative net, the
+        ``(component, pin)`` pairs driving and reading it, in component
+        order.  Built on first use and kept until a topology change (a
+        component added, an alias declared, :meth:`topology_changed`)."""
+        index = self._index
+        if index is None or index[0] != len(self.components):
+            drivers: dict[Net, list[tuple[Component, str]]] = {}
+            readers: dict[Net, list[tuple[Component, str]]] = {}
+            find = self.find
+            for comp in self.components.values():
+                for pin, conn in comp.output_pins():
+                    drivers.setdefault(find(conn.net), []).append((comp, pin))
+                for pin, conn in comp.input_pins():
+                    readers.setdefault(find(conn.net), []).append((comp, pin))
+            index = self._index = (len(self.components), drivers, readers)
+        return index
+
     def drivers_of(self, net: Net) -> list[tuple[Component, str]]:
-        rep = self.find(net)
-        out = []
-        for comp in self.components.values():
-            for pin, conn in comp.output_pins():
-                if self.find(conn.net) is rep:
-                    out.append((comp, pin))
-        return out
+        return list(self._net_index()[1].get(self.find(net), ()))
 
     def loads_of(self, net: Net) -> list[tuple[Component, str]]:
-        rep = self.find(net)
-        out = []
-        for comp in self.components.values():
-            for pin, conn in comp.input_pins():
-                if self.find(conn.net) is rep:
-                    out.append((comp, pin))
-        return out
+        return list(self._net_index()[2].get(self.find(net), ()))
 
     def iter_components(self) -> Iterator[Component]:
         return iter(self.components.values())

@@ -315,19 +315,6 @@ class _Worker:
                     ("err", f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}")
                 )
 
-    # -- shared ---------------------------------------------------------
-
-    def _reconcile(self):
-        """Fold queued edits into the engine, like Session.reverify does."""
-        session = self.session
-        engine = session.engine
-        if session._dirty.topology:
-            engine.rebuild_topology()
-        engine.forget_connections(session._dirty.stale_connections)
-        dirty = list(session._dirty.components.values())
-        session._dirty.clear()
-        return engine, dirty
-
     # -- commands -------------------------------------------------------
 
     def _do_edits(self, edits):
@@ -336,14 +323,11 @@ class _Worker:
 
     def _do_block(self, start, block_cases):
         t0, c0 = time.perf_counter(), time.process_time()
-        engine, dirty = self._reconcile()
+        engine = self.session.engine
         warm = self.converged and bool(engine.values)
-        if warm:
-            # Same path as a serial reverify: unique fixed point, so the
-            # incremental restart converges to byte-identical waveforms.
-            engine.incremental_begin(block_cases[0], dirty)
-        else:
-            engine.initialize(block_cases[0])
+        # Warm: the same path as a serial reverify (unique fixed point, so
+        # the incremental restart converges to byte-identical waveforms).
+        self.session._begin(block_cases[0], incremental=warm)
         self.converged = False
         xref = list(engine.xref_assumed_stable)
         build_wall = time.perf_counter() - t0

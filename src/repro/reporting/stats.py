@@ -24,6 +24,7 @@ from ..core.engine import Engine
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.verifier import VerificationResult
+    from ..session import Prescreen
 
 
 def deep_size(obj: Any, seen: set[int]) -> int:
@@ -119,6 +120,8 @@ def profile_json(result: "VerificationResult") -> dict:
         "evaluations": s.evaluations,
         "vector_events": s.vector_events,
         "lane_splits": s.lane_splits,
+        "nets_reclassified": s.nets_reclassified,
+        "checkers_visited": s.checkers_visited,
         "events_per_primitive": result.events_per_primitive,
         "events_per_second": s.events / verify_s if verify_s > 0 else 0.0,
         "max_rank": s.max_rank,
@@ -156,6 +159,18 @@ def profile_json(result: "VerificationResult") -> dict:
             "snapshots_fetched": pl.snapshots_fetched,
         }
     return out
+
+
+def prescreen_json(pre: "Prescreen") -> dict:
+    """The static prescreen's verdict and its cost, as plain data."""
+    return {
+        "ok": pre.ok,
+        "worst_slack_ps": pre.worst_slack_ps,
+        "cdc_errors": pre.cdc_errors,
+        "indeterminate": pre.indeterminate,
+        "seconds": pre.seconds,
+        "recomputed": pre.recomputed,
+    }
 
 
 def _cache_disabled(result: "VerificationResult") -> tuple[bool, bool]:
@@ -233,6 +248,10 @@ def profile_report(result: "VerificationResult") -> str:
             s.prepared_hit_rate,
         ),
     ]
+    lines.append(
+        f"  nets reclassified: {data['nets_reclassified']}, "
+        f"checkers visited: {data['checkers_visited']}"
+    )
     if s.incremental_runs:
         lines += [
             "",

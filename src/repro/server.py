@@ -46,7 +46,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from .incremental import edit_from_doc
 from .netlist.circuit import NetlistError
 from .reporting.stafmt import fmax_doc, sta_doc
-from .reporting.stats import profile_json
+from .reporting.stats import prescreen_json, profile_json
 from .session import Session
 
 __all__ = ["SessionClient", "SessionServer", "main"]
@@ -142,13 +142,7 @@ def _reverify_doc(inc) -> dict:
     doc["incremental"] = inc.incremental
     doc["prescreen"] = None
     if inc.prescreen is not None:
-        doc["prescreen"] = {
-            "ok": inc.prescreen.ok,
-            "worst_slack_ps": inc.prescreen.worst_slack_ps,
-            "cdc_errors": inc.prescreen.cdc_errors,
-            "indeterminate": inc.prescreen.indeterminate,
-            "seconds": inc.prescreen.seconds,
-        }
+        doc["prescreen"] = prescreen_json(inc.prescreen)
     return doc
 
 

@@ -16,15 +16,18 @@ that bound every net's behaviour without running the fixed point.
   confirmation, with an independent engine-bisection oracle.
 
 :func:`analyze` bundles the three static passes into one result, sharing
-the window computation they all feed from.
+the window computation they all feed from; :meth:`StaAnalysis.update`
+brings that result up to date after timing-only edits by re-sweeping the
+edits' fanout alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 from ..core.config import VerifyConfig
-from ..netlist.circuit import Circuit
+from ..netlist.circuit import Circuit, Component, Connection
 from .crosscheck import (
     CrosscheckResult,
     EnclosureFailure,
@@ -40,7 +43,7 @@ from .parametric import (
     solve_fmax,
     solve_static_fmax,
 )
-from .slack import SlackRecord, compute_slack
+from .slack import SlackRecord, SlackTable, compute_slack
 from .windows import FeedbackCut, IntervalSet, WindowAnalysis, compute_windows, waveform_windows
 
 __all__ = [
@@ -53,6 +56,7 @@ __all__ = [
     "FmaxResult",
     "IntervalSet",
     "SlackRecord",
+    "SlackTable",
     "StaAnalysis",
     "StaticFmax",
     "StorageDomain",
@@ -78,9 +82,40 @@ class StaAnalysis:
     circuit: Circuit
     windows: WindowAnalysis
     domains: DomainAnalysis
-    slack: list[SlackRecord] = field(default_factory=list)
+    table: SlackTable
     #: Resolved SDC constraints the passes honoured (None = unconstrained).
     constraints: object | None = None
+
+    @property
+    def slack(self) -> list[SlackRecord]:
+        """Every slack record, worst first."""
+        return self.table.records()
+
+    def update(
+        self,
+        components: Iterable[Component],
+        checkers: Iterable[Component] = (),
+        stale: Iterable[Connection] = (),
+    ) -> None:
+        """Bring the analysis up to date after timing-only edits.
+
+        ``components`` and ``checkers`` are the edited primitives and
+        checkers, plus the readers of every net whose wire delay changed;
+        ``stale`` the connections whose wire delay changed
+        (:class:`repro.incremental.PendingDirty` collects all three).
+        Windows are re-swept from ``components`` only
+        (:meth:`WindowAnalysis.update`); slack is recomputed only at the
+        edited components and the readers of every net whose windows
+        changed.  Clock domains depend on topology and assertions alone
+        and are kept.
+        """
+        components = list(components)
+        changed = self.windows.update(components, stale)
+        names = {c.name for c in components}
+        names.update(c.name for c in checkers)
+        for rep in changed:
+            names.update(comp.name for comp, _pin in self.circuit.loads_of(rep))
+        self.table.update(names)
 
     @property
     def ok(self) -> bool:
@@ -104,6 +139,6 @@ def analyze(
         circuit=circuit,
         windows=windows,
         domains=infer_domains(circuit, windows),
-        slack=compute_slack(circuit, windows, constraints=constraints),
+        table=SlackTable(circuit, windows, constraints),
         constraints=constraints,
     )

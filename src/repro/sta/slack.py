@@ -23,6 +23,7 @@ same soundness contract the crosscheck enforces on values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from ..netlist.circuit import Circuit, Component
 from .windows import WindowAnalysis
@@ -76,9 +77,38 @@ def compute_slack(
     false-path waivers, recovery/removal records and output-delay records —
     each mirroring the engine check that consumes the same constraint.
     """
-    records: list[SlackRecord] = []
-    for comp in circuit.iter_components():
+    return SlackTable(circuit, analysis, constraints).records()
+
+
+class SlackTable:
+    """The slack records of one window analysis, per checking component.
+
+    Kept alongside an incrementally updated :class:`WindowAnalysis`:
+    :meth:`update` recomputes only the named components' records, and
+    :meth:`records` gives the same sorted list :func:`compute_slack` does.
+    """
+
+    def __init__(
+        self, circuit: Circuit, analysis: WindowAnalysis, constraints=None
+    ) -> None:
+        self.circuit = circuit
+        self.analysis = analysis
+        self.constraints = constraints
+        #: Records per component, in component order.  The set of
+        #: components with records depends only on topology and
+        #: constraints, which an update never changes.
+        self.by_comp: dict[str, list[SlackRecord]] = {}
+        for comp in circuit.iter_components():
+            records = self._records_at(comp)
+            if records:
+                self.by_comp[comp.name] = records
+        self.outputs = self._output_records()
+        self._sorted: list[SlackRecord] | None = None
+
+    def _records_at(self, comp: Component) -> list[SlackRecord]:
+        analysis, constraints = self.analysis, self.constraints
         prim = comp.prim.name
+        records: list[SlackRecord] = []
         if prim in _CHECKERS:
             mods = (
                 constraints.mods_for(comp.name)
@@ -97,11 +127,42 @@ def compute_slack(
                 else None
             )
             records.append(_borrow_slack(comp, analysis, borrow_cap))
-    if constraints is not None:
-        for spec in constraints.output_delays:
-            records.extend(_output_slack_all(spec, analysis))
-    records.sort(key=lambda r: (r.slack_ps is None, r.slack_ps or 0, r.component))
-    return records
+        return records
+
+    def _output_records(self) -> list[SlackRecord]:
+        if self.constraints is None:
+            return []
+        return [
+            rec
+            for spec in self.constraints.output_delays
+            for rec in _output_slack_all(spec, self.analysis)
+        ]
+
+    def update(self, names: Iterable[str]) -> None:
+        """Recompute the records of the named components (names without
+        records are ignored) and every output-delay record."""
+        components = self.circuit.components
+        by_comp = self.by_comp
+        for name in names:
+            if name in by_comp:
+                by_comp[name] = self._records_at(components[name])
+        self.outputs = self._output_records()
+        self._sorted = None
+
+    def __iter__(self) -> Iterator[SlackRecord]:
+        """Every record, unsorted."""
+        for records in self.by_comp.values():
+            yield from records
+        yield from self.outputs
+
+    def records(self) -> list[SlackRecord]:
+        """Every record, worst slack first (indeterminate last)."""
+        if self._sorted is None:
+            self._sorted = sorted(
+                self,
+                key=lambda r: (r.slack_ps is None, r.slack_ps or 0, r.component),
+            )
+        return self._sorted
 
 
 def _checker_slack(

@@ -19,6 +19,7 @@ superset of the corresponding model in ``core/models.py``.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -272,6 +273,9 @@ class WindowAnalysis:
     #: False paths never narrow stored windows — they are pruned at the
     #: checker boundary (``slack.py``) so this enclosure stays intact.
     constraints: object | None = None
+    #: Components the last sweep computed: all of them after
+    #: :func:`compute_windows`, the edits' fanout after :meth:`update`.
+    swept: int = 0
 
     def of(self, net: Net) -> tuple[IntervalSet, IntervalSet]:
         return self.windows[self.circuit.find(net)]
@@ -294,7 +298,8 @@ class WindowAnalysis:
         """Windows as seen at a component input (invert + wire delay).
 
         Memoized per connection: the sweep only asks for a net's windows
-        after its driver has been processed, so the entry never goes stale.
+        after all its drivers have been processed, and a re-sweep that
+        changes them drops the entries derived from the old ones.
         """
         cache = self._prepared_zero if zero_wire else self._prepared_cache
         key = id(conn)
@@ -338,6 +343,44 @@ class WindowAnalysis:
     _rep_of: dict = field(default_factory=dict, repr=False)
     _default_wire: tuple[int, int] | None = field(default=None, repr=False)
     _per_load: int | None = field(default=None, repr=False)
+    _sweep: "_Sweep | None" = field(default=None, repr=False)
+
+    def update(
+        self,
+        components: Iterable[Component],
+        stale: Iterable[Connection] = (),
+    ) -> list[Net]:
+        """Bring the windows up to date after timing-only edits.
+
+        ``components`` are the primitives whose transfer may have changed
+        (an edited delay, or an input whose wire delay changed) and
+        ``stale`` the connections whose wire delay changed.  Re-sweeps
+        those components and, in topological order, every one whose
+        inputs changed, stopping where an output comes out unchanged.
+        Topology, assertion, constraint, period or config changes need a
+        fresh :func:`compute_windows` instead.  Returns the nets whose
+        windows changed; ``swept`` counts the components re-swept.
+        """
+        for conn in stale:
+            key = id(conn)
+            self._prepared_cache.pop(key, None)
+            self._prepared_zero.pop(key, None)
+            rep = self._rep_of.get(key) or self.circuit.find(conn.net)
+            self._rep_prepared.pop(id(rep), None)
+        sweep = self._sweep
+        index_of = sweep.index_of
+        changed, self.swept = sweep.run(
+            self, (index_of[c.name] for c in components if c.name in index_of)
+        )
+        return changed
+
+    def _forget_net(self, rep: Net) -> None:
+        """Drop the prepared windows derived from ``rep``'s old windows."""
+        self._rep_prepared.pop(id(rep), None)
+        for comp, pin in self.circuit.loads_of(rep):
+            key = id(comp.pins[pin])
+            self._prepared_cache.pop(key, None)
+            self._prepared_zero.pop(key, None)
 
     def _wire_delay(self, conn: Connection, rep: Net) -> tuple[int, int]:
         # Mirrors Engine._wire_delay exactly; the config-derived defaults
@@ -542,6 +585,10 @@ def compute_windows(
 ) -> WindowAnalysis:
     """One-pass static arrival-window analysis of an expanded circuit.
 
+    Builds the sweep index (:class:`_Sweep`), then sweeps every component
+    in topological order; :meth:`WindowAnalysis.update` re-runs the same
+    sweep from the components a timing edit dirtied.
+
     ``source_windows`` replaces the fixed-source window builder
     (:func:`_source_windows`, same signature).  The parametric Fmax pass
     (``repro.sta.parametric``) injects a builder that yields windows whose
@@ -550,248 +597,332 @@ def compute_windows(
     arithmetic and works unchanged over either bound type.
     """
     config = config or VerifyConfig()
-    if source_windows is None:
-        source_windows = _source_windows
-    period = circuit.period_ps
-    gate_prims = _gate_prims()
-
-    # One pass over every component builds all the indexed structure the
-    # sweep needs: alias representatives per connection, drivers/loads,
-    # per-component input lists and output representatives.
-    drivers: dict[Net, tuple[Component, str]] = {}
-    driver_idx: dict[Net, int] = {}
-    loads: dict[Net, int] = {}
-    rep_of: dict[int, Net] = {}
-    find = circuit.find
-    comps: list[Component] = []
-    comp_inputs: list[list[Connection]] = []
-    comp_out_reps: list[list[Net]] = []
-    comp_has_dir: list[bool] = []
-    comp_kind: list[int] = []  # 0 gate, 1 register, 2 latch, 3 mux, -1 other
-    has_multi_letter = False
-    loads_get = loads.get
-    for comp in circuit.iter_components():
-        prim = comp.prim
-        pins = comp.pins
-        checker = prim.is_checker
-        if not checker:
-            j = len(comps)
-            comps.append(comp)
-            name = prim.name
-            if name in gate_prims:
-                comp_kind.append(0)
-            elif name in ("REG", "REG_RS"):
-                comp_kind.append(1)
-            elif name in ("LATCH", "LATCH_RS"):
-                comp_kind.append(2)
-            elif name.startswith("MUX"):
-                comp_kind.append(3)
-            else:
-                comp_kind.append(-1)
-        out_reps = []
-        for pin in prim.outputs:
-            conn = pins.get(pin)
-            if conn is None:
-                continue
-            rep = find(conn.net)
-            rep_of[id(conn)] = rep
-            drivers[rep] = (comp, pin)
-            if not checker:
-                driver_idx[rep] = j
-                out_reps.append(rep)
-        inputs = []
-        has_dir = False
-        # Fixed input pins first, then the variadic family in order —
-        # the same order input_pins() yields.
-        pin_names = [p for p in prim.inputs if p in pins]
-        if prim.variadic_input:
-            prefix = prim.variadic_input
-            k = 1
-            while f"{prefix}{k}" in pins:
-                pin_names.append(f"{prefix}{k}")
-                k += 1
-        for pin in pin_names:
-            conn = pins[pin]
-            rep = find(conn.net)
-            rep_of[id(conn)] = rep
-            loads[rep] = loads_get(rep, 0) + 1
-            if conn.directives:
-                has_dir = True
-                if len(conn.directives) >= 2:
-                    has_multi_letter = True
-            inputs.append(conn)
-        if not checker:
-            comp_inputs.append(inputs)
-            comp_out_reps.append(out_reps)
-            comp_has_dir.append(has_dir)
-    n = len(comps)
-
     analysis = WindowAnalysis(
         circuit=circuit,
         config=config,
-        period=period,
+        period=circuit.period_ps,
         windows={},
         constraints=constraints,
-        _loads=loads,
-        _rep_of=rep_of,
     )
-    # Snapshot the config-derived defaults once; they go through Fraction
-    # conversions that are far too slow for a per-connection call.
-    analysis._default_wire = config.default_wire_delay_ps
-    analysis._per_load = config.wire_delay_per_load_ps
+    sweep = _Sweep(analysis, source_windows or _source_windows)
+    analysis._sweep = sweep
+    analysis.swept = sweep.run(analysis, range(len(sweep.comps)))[1]
+    # Stay total even for nets no path above reached.
+    empty = IntervalSet.empty(analysis.period)
+    pair = (empty, empty)
+    windows = analysis.windows
+    for rep in circuit.representatives():
+        if rep not in windows:
+            windows[rep] = pair
+    return analysis
 
-    # Uncertainty only originates at multi-letter directive strings; when
-    # none exist, nothing can carry a letter on its waveform.
-    carry = (
-        _may_carry_eval_str(circuit, comps, gate_prims)
-        if has_multi_letter
-        else {}
-    )
-    case_values = _case_values(circuit)
 
-    reps = circuit.representatives()
-    fixed: set[Net] = set()
-    for rep in reps:
-        driven = rep in drivers
-        if _is_fixed_source(rep, driven):
-            fixed.add(rep)
-            analysis.windows[rep] = source_windows(
-                circuit, config, rep, period, constraints
-            )
+class _Sweep:
+    """The indexed structure one window sweep runs over, kept for re-sweeps.
 
-    # Directive letters per gate input (None when certainly absent).
-    comp_letters: list[list[tuple[str, bool]] | None] = [None] * n
-    for j in range(n):
-        if not (comp_has_dir[j] or carry):
-            continue
-        if comps[j].prim.name not in gate_prims:
-            continue
-        letters = []
-        for conn in comp_inputs[j]:
-            if conn.directives:
-                letters.append((conn.directives[0], True))
-            elif carry.get(rep_of[id(conn)]):
-                letters.append(("", False))  # a letter may ride in
-            else:
-                letters.append(("", True))
-        comp_letters[j] = letters
+    One pass over every component builds it: alias representatives per
+    connection, drivers and loads, per-component input lists, output
+    representatives and directive letters, the timing dependency graph
+    (cut where timing cannot flow), its topological order and the
+    feedback cycles widened to the full period.  Each component's last
+    transfer result is kept, so a re-sweep can stop where an output comes
+    out unchanged.  It holds no reference back to its analysis: a cycle
+    would keep every one-shot analysis alive until the collector ran.
+    """
 
-    # Dependency graph between components, cut where timing cannot flow.
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for j, comp in enumerate(comps):
-        letters = comp_letters[j]
-        if letters is None and comp_kind[j] != 1:
-            conns = comp_inputs[j]
-        else:
-            conns = _used_input_conns(comp, comp_inputs[j], letters)
-        for conn in conns:
-            rep = rep_of[id(conn)]
-            if rep in fixed:
+    def __init__(self, analysis: WindowAnalysis, source_windows) -> None:
+        circuit = analysis.circuit
+        config = analysis.config
+        period = analysis.period
+        constraints = analysis.constraints
+        gate_prims = _gate_prims()
+
+        drivers: dict[Net, tuple[Component, str]] = {}
+        rep_drivers: dict[Net, list[int]] = {}
+        loads: dict[Net, int] = {}
+        rep_of: dict[int, Net] = {}
+        find = circuit.find
+        comps: list[Component] = []
+        comp_inputs: list[list[Connection]] = []
+        comp_out_reps: list[list[Net]] = []
+        comp_has_dir: list[bool] = []
+        comp_kind: list[int] = []  # 0 gate, 1 register, 2 latch, 3 mux, -1 other
+        has_multi_letter = False
+        loads_get = loads.get
+        for comp in circuit.iter_components():
+            prim = comp.prim
+            pins = comp.pins
+            checker = prim.is_checker
+            if not checker:
+                j = len(comps)
+                comps.append(comp)
+                name = prim.name
+                if name in gate_prims:
+                    comp_kind.append(0)
+                elif name in ("REG", "REG_RS"):
+                    comp_kind.append(1)
+                elif name in ("LATCH", "LATCH_RS"):
+                    comp_kind.append(2)
+                elif name.startswith("MUX"):
+                    comp_kind.append(3)
+                else:
+                    comp_kind.append(-1)
+            out_reps = []
+            for pin in prim.outputs:
+                conn = pins.get(pin)
+                if conn is None:
+                    continue
+                rep = find(conn.net)
+                rep_of[id(conn)] = rep
+                drivers[rep] = (comp, pin)
+                if not checker:
+                    rep_drivers.setdefault(rep, []).append(j)
+                    out_reps.append(rep)
+            inputs = []
+            has_dir = False
+            # Fixed input pins first, then the variadic family in order —
+            # the same order input_pins() yields.
+            pin_names = [p for p in prim.inputs if p in pins]
+            if prim.variadic_input:
+                prefix = prim.variadic_input
+                k = 1
+                while f"{prefix}{k}" in pins:
+                    pin_names.append(f"{prefix}{k}")
+                    k += 1
+            for pin in pin_names:
+                conn = pins[pin]
+                rep = find(conn.net)
+                rep_of[id(conn)] = rep
+                loads[rep] = loads_get(rep, 0) + 1
+                if conn.directives:
+                    has_dir = True
+                    if len(conn.directives) >= 2:
+                        has_multi_letter = True
+                inputs.append(conn)
+            if not checker:
+                comp_inputs.append(inputs)
+                comp_out_reps.append(out_reps)
+                comp_has_dir.append(has_dir)
+        n = len(comps)
+
+        analysis._loads = loads
+        analysis._rep_of = rep_of
+        # Snapshot the config-derived defaults once; they go through
+        # Fraction conversions that are far too slow for a per-connection
+        # call.
+        analysis._default_wire = config.default_wire_delay_ps
+        analysis._per_load = config.wire_delay_per_load_ps
+
+        # Uncertainty only originates at multi-letter directive strings;
+        # when none exist, nothing can carry a letter on its waveform.
+        carry = (
+            _may_carry_eval_str(circuit, comps, gate_prims)
+            if has_multi_letter
+            else {}
+        )
+
+        fixed: set[Net] = set()
+        for rep in circuit.representatives():
+            if _is_fixed_source(rep, rep in drivers):
+                fixed.add(rep)
+                analysis.windows[rep] = source_windows(
+                    circuit, config, rep, period, constraints
+                )
+
+        # Directive letters per gate input (None when certainly absent).
+        comp_letters: list[list[tuple[str, bool]] | None] = [None] * n
+        for j in range(n):
+            if not (comp_has_dir[j] or carry):
                 continue
-            i = driver_idx.get(rep)
-            if i is not None and j not in succ[i]:
-                succ[i].append(j)
+            if comps[j].prim.name not in gate_prims:
+                continue
+            letters = []
+            for conn in comp_inputs[j]:
+                if conn.directives:
+                    letters.append((conn.directives[0], True))
+                elif carry.get(rep_of[id(conn)]):
+                    letters.append(("", False))  # a letter may ride in
+                else:
+                    letters.append(("", True))
+            comp_letters[j] = letters
 
-    # Kahn's toposort doubles as the cycle detector: on an acyclic graph
-    # (the overwhelmingly common case once registers cut their DATA edges)
-    # it orders every node and Tarjan never runs.  Any leftover nodes sit
-    # in or downstream of a cycle; only then are SCCs computed to find the
-    # exact members to widen.
+        # Dependency graph, cut where timing cannot flow: the timing
+        # readers of every driven net, and an edge from each of its
+        # drivers to each of them.
+        readers: dict[Net, list[int]] = {}
+        for j, comp in enumerate(comps):
+            letters = comp_letters[j]
+            if letters is None and comp_kind[j] != 1:
+                conns = comp_inputs[j]
+            else:
+                conns = _used_input_conns(comp, comp_inputs[j], letters)
+            for conn in conns:
+                rep = rep_of[id(conn)]
+                if rep in fixed or rep not in rep_drivers:
+                    continue
+                row = readers.setdefault(rep, [])
+                if j not in row:
+                    row.append(j)
+        succ: list[list[int]] = [[] for _ in range(n)]
+        for rep, row in readers.items():
+            for i in rep_drivers[rep]:
+                out = succ[i]
+                for j in row:
+                    if j not in out:
+                        out.append(j)
+
+        # Kahn's toposort doubles as the cycle detector: on an acyclic
+        # graph (the overwhelmingly common case once registers cut their
+        # DATA edges) it orders every node and Tarjan never runs.  Any
+        # leftover nodes sit in or downstream of a cycle; only then are
+        # SCCs computed to find the exact members to widen.
+        scc = None
+        widened: set[int] = set()
+        order = _kahn(succ, None)
+        if len(order) < n:
+            scc = _strongly_connected(succ)
+            scc_sizes: dict[int, int] = {}
+            for cid in scc:
+                scc_sizes[cid] = scc_sizes.get(cid, 0) + 1
+            for i in range(n):
+                if scc_sizes[scc[i]] > 1 or i in succ[i]:
+                    widened.add(i)
+            for i in sorted(widened):
+                comp = comps[i]
+                for rep in comp_out_reps[i]:
+                    if rep not in fixed:
+                        analysis.feedback.append(
+                            FeedbackCut(
+                                component=comp.name,
+                                net=rep.name,
+                                prim=comp.prim.name,
+                                origin=comp.origin,
+                            )
+                        )
+            # Re-run Kahn over the condensation (intra-SCC edges dropped)
+            # so nodes beyond the widened cycles still get swept in order.
+            order = _kahn(succ, scc)
+
+        self.comps = comps
+        self.inputs = comp_inputs
+        self.out_reps = comp_out_reps
+        self.kind = comp_kind
+        self.letters = comp_letters
+        self.fixed = fixed
+        self.drivers = drivers
+        self.rep_drivers = rep_drivers
+        self.readers = readers
+        self.widened = widened
+        self.order = order
+        self.pos = [0] * n
+        for p, i in enumerate(order):
+            self.pos[i] = p
+        self.index_of = {comp.name: j for j, comp in enumerate(comps)}
+        self.case_values = _case_values(circuit)
+        # Transfers are memoized on (primitive, delays, input windows) —
+        # the static counterpart of the engine's evaluation memo: identical
+        # macro instances fed by identical windows are everywhere in a
+        # synchronous design.  Each sweep starts it empty, so a long edit
+        # session does not pile up the windows of every state it passed.
+        self.memo: dict = {}
+        full = IntervalSet.everywhere(period)
+        self.full = (full, full)
+        empty = IntervalSet.empty(period)
+        self.empty = (empty, empty)
+        self.outs: list[tuple[IntervalSet, IntervalSet] | None] = [None] * n
+        self.seen = [False] * n
+
+    def run(
+        self, analysis: WindowAnalysis, seeds: Iterable[int]
+    ) -> tuple[list[Net], int]:
+        """Sweep ``seeds`` and, in topological order, every component
+        whose timing inputs changed; stops where an output comes out
+        unchanged.  Returns the nets whose windows changed and the number
+        of components swept."""
+        circuit = analysis.circuit
+        period = analysis.period
+        windows = analysis.windows
+        comps, kind, widened, fixed = self.comps, self.kind, self.widened, self.fixed
+        order, pos, outs, seen = self.order, self.pos, self.outs, self.seen
+        readers = self.readers
+        self.memo.clear()
+        heap = sorted({pos[i] for i in seeds})  # a sorted list is a heap
+        queued = set(heap)
+        changed: list[Net] = []
+        swept = 0
+        while heap:
+            i = order[heapq.heappop(heap)]
+            swept += 1
+            if i in widened:
+                out = self.full
+            elif kind[i] < 0:
+                out = None
+            else:
+                out = _transfer(
+                    comps[i], kind[i], self.inputs[i], self.letters[i],
+                    analysis, circuit, self.case_values, self.drivers,
+                    period, self.memo,
+                )
+            if seen[i] and (out is outs[i] or out == outs[i]):
+                continue
+            seen[i] = True
+            outs[i] = out
+            for rep in self.out_reps[i]:
+                if rep in fixed:
+                    continue
+                new = self._net_windows(rep)
+                old = windows.get(rep)
+                if old is not None:
+                    if old is new or old == new:
+                        continue
+                    analysis._forget_net(rep)
+                windows[rep] = new
+                changed.append(rep)
+                for j in readers.get(rep, ()):
+                    p = pos[j]
+                    if p not in queued:
+                        queued.add(p)
+                        heapq.heappush(heap, p)
+        return changed, swept
+
+    def _net_windows(self, rep: Net) -> tuple[IntervalSet, IntervalSet]:
+        """The union over every driver of ``rep`` (more than one is a lint
+        error in itself); a driver on a feedback cycle widens it fully."""
+        acc = None
+        outs = self.outs
+        for j in self.rep_drivers[rep]:
+            out = outs[j]
+            if out is None:
+                continue
+            if out is self.full:
+                return out
+            acc = out if acc is None else (
+                acc[0].union(out[0]),
+                acc[1].union(out[1]),
+            )
+        return self.empty if acc is None else acc
+
+
+def _kahn(succ: list[list[int]], scc: list[int] | None) -> list[int]:
+    """Kahn's topological order of ``succ``; with ``scc`` given, edges
+    inside one strongly connected component are ignored."""
+    n = len(succ)
     indegree = [0] * n
-    for row in succ:
+    for i, row in enumerate(succ):
         for j in row:
-            indegree[j] += 1
+            if scc is None or scc[i] != scc[j]:
+                indegree[j] += 1
     ready = deque(i for i in range(n) if indegree[i] == 0)
     order: list[int] = []
     while ready:
         i = ready.popleft()
         order.append(i)
         for j in succ[i]:
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                ready.append(j)
-
-    widened: set[int] = set()
-    if len(order) < n:
-        scc = _strongly_connected(succ)
-        scc_sizes: dict[int, int] = {}
-        for cid in scc:
-            scc_sizes[cid] = scc_sizes.get(cid, 0) + 1
-        for i in range(n):
-            if scc_sizes[scc[i]] > 1 or i in succ[i]:
-                widened.add(i)
-        for i in sorted(widened):
-            comp = comps[i]
-            for rep in comp_out_reps[i]:
-                if rep in fixed:
-                    continue
-                full = IntervalSet.everywhere(period)
-                analysis.windows[rep] = (full, full)
-                analysis.feedback.append(
-                    FeedbackCut(
-                        component=comp.name,
-                        net=rep.name,
-                        prim=comp.prim.name,
-                        origin=comp.origin,
-                    )
-                )
-        # Re-run Kahn over the condensation (intra-SCC edges dropped) so
-        # nodes beyond the widened cycles still get swept in order.
-        indegree = [0] * n
-        for i in range(n):
-            for j in succ[i]:
-                if scc[i] != scc[j]:
-                    indegree[j] += 1
-        ready = deque(i for i in range(n) if indegree[i] == 0)
-        order = []
-        while ready:
-            i = ready.popleft()
-            order.append(i)
-            for j in succ[i]:
-                if scc[i] != scc[j]:
-                    indegree[j] -= 1
-                    if indegree[j] == 0:
-                        ready.append(j)
-
-    # The sweep.  Identical macro instances fed by identical windows are
-    # everywhere in a synchronous design, so transfers are memoized on
-    # (primitive, delays, input windows) — the static counterpart of the
-    # engine's evaluation memo.
-    memo: dict = {}
-    empty = IntervalSet.empty(period)
-    windows = analysis.windows
-    for i in order:
-        if i in widened:
-            continue
-        comp = comps[i]
-        kind = comp_kind[i]
-        if kind < 0:
-            continue
-        out = _transfer(
-            comp, kind, comp_inputs[i], comp_letters[i], analysis, circuit,
-            case_values, drivers, period, memo,
-        )
-        if out is None:
-            continue
-        for rep in comp_out_reps[i]:
-            if rep in fixed:
-                continue
-            prev = windows.get(rep)
-            if prev is None:
-                windows[rep] = out
-            else:
-                # Multiple drivers (a lint error in itself): keep the union.
-                windows[rep] = (
-                    prev[0].union(out[0]),
-                    prev[1].union(out[1]),
-                )
-
-    # Stay total even for nets no path above reached.
-    pair = (empty, empty)
-    for rep in reps:
-        if rep not in windows:
-            windows[rep] = pair
-    return analysis
+            if scc is None or scc[i] != scc[j]:
+                indegree[j] -= 1
+                if indegree[j] == 0:
+                    ready.append(j)
+    return order
 
 
 def _gate_prims() -> frozenset[str]:

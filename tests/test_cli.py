@@ -153,6 +153,15 @@ class TestJsonEnvelope:
         assert main([clean_file, "--json"]) == 0
         assert "phases_seconds" in json.loads(capsys.readouterr().out)
 
+    def test_json_reports_full_run_counters(self, clean_file, capsys):
+        """A full run re-derives every net and visits every checker."""
+        import json
+
+        assert main([clean_file, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["nets_reclassified"] > 0
+        assert data["checkers_visited"] > 0
+
     def test_json_with_summary_keeps_stdout_clean(self, clean_file, capsys):
         import json
 

@@ -18,6 +18,7 @@ from repro import Session
 from repro.incremental import (
     AssertionEdit,
     ParamEdit,
+    PendingDirty,
     ReconnectEdit,
     WireDelayEdit,
     assert_incremental_equivalent,
@@ -68,6 +69,36 @@ class TestEditTypes:
         session.edit(ParamEdit("outreg/su", {"setup": 30.0}))
         inc = assert_incremental_equivalent(session)
         assert not inc.ok
+
+    def test_checker_setup_edit_reaches_the_listing(self):
+        """A checker edit leaves dirt of its own: no input of the checker
+        changes (one case, so no case switch stores anything either), so
+        only the recorded edit makes the next reverify visit it and the
+        static prescreen recompute its slack."""
+        circuit, _ = generate(SynthConfig(chips=60, seed=1)).circuit()
+        session = Session(circuit)
+        session.verify()
+        before = session.reverify(prescreen=True)
+        session.edit(ParamEdit("c3/su", {"setup": 40.0}))
+        inc = assert_incremental_equivalent(session, prescreen=True)
+        assert inc.result.error_listing() != before.result.error_listing()
+        assert "c3/su" in inc.result.error_listing()
+        assert inc.stats.checkers_visited == 1
+        assert inc.stats.events == 0  # nothing re-evaluated
+        assert inc.prescreen.worst_slack_ps < before.prescreen.worst_slack_ps
+
+    def test_later_case_sees_earlier_case_stores(self):
+        """A net re-stored while case 0 converges holds its new value in
+        case 1 too, where nothing stores it again: case 1's checkers on
+        it must still be re-checked."""
+        circuit, _ = generate(SynthConfig(chips=60, seed=1)).circuit()
+        for k in range(2):
+            circuit.add_case_by_name({"MUX CTL .S0-8": k})
+        session = Session(circuit)
+        session.verify()
+        session.edit(ParamEdit("corr1/d", {"delay": (2.5, 12.5)}))
+        inc = assert_incremental_equivalent(session)
+        assert {v.case_index for v in inc.violations} == {0, 1}
 
     def test_param_edit_rejects_unknown(self):
         session = _session(SHIFTER)
@@ -151,6 +182,50 @@ class TestReverifySemantics:
         assert inc.prescreen is not None
         assert inc.prescreen.indeterminate >= 1
         assert not inc.prescreen.ok
+
+    def test_noop_reverify_costs_nothing(self):
+        """No edit, no work: no net re-derived, no checker visited, no
+        static window re-swept (after the first prescreen built them)."""
+        circuit, _ = generate(SynthConfig(chips=60, seed=1)).circuit()
+        session = Session(circuit)
+        session.verify()
+        first = session.reverify()
+        assert first.prescreen.recomputed == sum(
+            1 for c in circuit.iter_components() if not c.prim.is_checker
+        )
+        inc = assert_incremental_equivalent(session, prescreen=True)
+        assert inc.stats.nets_reclassified == 0
+        assert inc.stats.checkers_visited == 0
+        assert inc.prescreen.recomputed == 0
+
+    def test_gate_edit_stays_in_its_fanout_cone(self):
+        """Every per-reverify counter is bounded by the edited gate's
+        fanout, not the design."""
+        circuit, _ = generate(SynthConfig(chips=60, seed=1)).circuit()
+        session = Session(circuit)
+        session.verify()
+        session.reverify()  # builds the static index
+        gate = circuit.components["c32/g"]
+        lo, hi = gate.params["delay"]
+        session.edit(ParamEdit(gate.name, {"delay": (lo / 1000, hi / 1000 + 1.0)}))
+        inc = assert_incremental_equivalent(session, prescreen=True)
+        cone = session.engine._dirty_cone([gate])
+        cone_nets = {
+            circuit.find(conn.net)
+            for name in cone
+            for _pin, conn in circuit.components[name].output_pins()
+        }
+        cone_checkers = {
+            comp.name
+            for rep in cone_nets
+            for comp, _pin in circuit.loads_of(rep)
+            if comp.prim.is_checker
+        }
+        checkers = sum(1 for c in circuit.iter_components() if c.prim.is_checker)
+        primitives = len(circuit.components) - checkers
+        assert inc.stats.nets_reclassified == 0
+        assert 1 <= inc.prescreen.recomputed <= len(cone) < primitives
+        assert inc.stats.checkers_visited <= len(cone_checkers) < checkers
 
     def test_dirty_cone_is_local(self):
         """A one-net edit dirties a strict subset of the primitives."""
@@ -277,4 +352,146 @@ def test_randomized_edit_sequences(chips, seed, data):
     # state rather than a full run's.
     for _ in range(2):
         session.edit(*data.draw(_edits(session)))
-        assert_incremental_equivalent(session)
+        assert_incremental_equivalent(session, prescreen=True)
+
+
+@settings(
+    max_examples=6,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+@pytest.mark.parametrize("chips,seed", [(30, 1), (60, 2)])
+def test_randomized_multicase_edit_sequences(chips, seed, data):
+    """With several cases, a case's checker records are reused only for
+    checkers no store since that case's last check has reached — stores
+    of this run's earlier cases and of the last run's later ones both
+    count."""
+    circuit, _ = generate(SynthConfig(chips=chips, seed=seed)).circuit()
+    for k in range(4):
+        circuit.add_case_by_name({"MUX CTL .S0-8": k % 2, "CS CTL .S0-8": k // 2})
+    session = Session(circuit)
+    session.verify()
+    for _ in range(2):
+        session.edit(*data.draw(_edits(session)))
+        assert_incremental_equivalent(session, prescreen=True)
+
+
+@settings(
+    max_examples=6,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+@pytest.mark.parametrize("chips,seed", [(30, 1), (30, 7)])
+def test_static_dirt_survives_other_runs(chips, seed, data):
+    """Edits consumed by a reverify without prescreen, and an Fmax solve
+    that re-times the circuit in between, must still reach the next
+    prescreen: its static analysis equals a from-scratch one."""
+    session = _synth_session(chips, seed)
+    session.reverify()  # builds the static index
+    for _ in range(3):
+        session.edit(*data.draw(_edits(session)))
+        between = data.draw(st.sampled_from(["none", "engine", "fmax"]))
+        if between == "engine":
+            session.reverify(prescreen=False)
+            session.edit(*data.draw(_edits(session)))
+        elif between == "fmax":
+            session.fmax()
+        assert_incremental_equivalent(session, prescreen=True)
+
+
+# ----------------------------------------------------------------------
+# edit dirt against the full-scan lookups the net index replaced
+# ----------------------------------------------------------------------
+
+
+def _scan_readers(circuit, rep):
+    """Reference: every (component, connection) reading ``rep``, found by
+    scanning the whole design (the lookup before the net index)."""
+    return [
+        (comp, conn)
+        for comp in circuit.iter_components()
+        for _pin, conn in comp.input_pins()
+        if circuit.find(conn.net) is rep
+    ]
+
+
+def _scan_driver(circuit, rep):
+    for comp in circuit.iter_components():
+        for _pin, conn in comp.output_pins():
+            if circuit.find(conn.net) is rep:
+                return comp
+    return None
+
+
+def _touch_by_scan(circuit, rep, want):
+    """Reference dirt of touching ``rep``: its readers dirtied and their
+    default-delay connections stale, found by full scan."""
+    want.nets[rep] = None
+    for comp, conn in _scan_readers(circuit, rep):
+        if conn.wire_delay_ps is None:
+            want.stale_connections.append(conn)
+        want.merge_component(comp)
+
+
+def _assert_same_dirt(got, want):
+    assert list(got.components) == list(want.components)
+    assert list(got.checkers) == list(want.checkers)
+    assert list(got.nets) == list(want.nets)
+    assert [id(c) for c in got.stale_connections] == [
+        id(c) for c in want.stale_connections
+    ]
+
+
+class TestEditDirtMatchesFullScan:
+    def test_wire_delay(self):
+        circuit, _ = generate(SynthConfig(chips=60, seed=1)).circuit()
+        for name in sorted(circuit.nets)[::7]:
+            for delay in ((0.0, 1.5), None):
+                got = PendingDirty()
+                WireDelayEdit(name, delay).apply(circuit, got)
+                want = PendingDirty()
+                _touch_by_scan(circuit, circuit.find(circuit.nets[name]), want)
+                _assert_same_dirt(got, want)
+
+    def test_param(self):
+        circuit = Session.from_file(SHIFTER).circuit
+        for name in ("s1/rot", "outreg/su"):
+            got = PendingDirty()
+            comp = circuit.components[name]
+            key = "setup" if comp.prim.is_checker else "delay"
+            value = 2.0 if key == "setup" else (1.0, 3.0)
+            ParamEdit(name, {key: value}).apply(circuit, got)
+            want = PendingDirty()
+            want.merge_component(comp)
+            _assert_same_dirt(got, want)
+        assert list(got.checkers) == ["outreg/su"]
+
+    def test_reconnect(self):
+        circuit = Session.from_file(SHIFTER).circuit
+        comp = circuit.components["outreg/r"]
+        old_rep = circuit.find(comp.pins["DATA"].net)
+        old = comp.pins["DATA"]
+        got = PendingDirty()
+        ReconnectEdit("outreg/r", "DATA", "AFTER 1").apply(circuit, got)
+        want = PendingDirty()
+        want.merge_component(comp)
+        want.stale_connections.append(old)
+        for rep in (circuit.find(comp.pins["DATA"].net), old_rep):
+            _touch_by_scan(circuit, rep, want)
+            want.merge_component(_scan_driver(circuit, rep))
+        assert got.topology and got.structure
+        _assert_same_dirt(got, want)
+
+    def test_assertion(self):
+        circuit = Session.from_file(MULTICYCLE).circuit
+        got = PendingDirty()
+        AssertionEdit("DIN .S0-6", ".S1-6").apply(circuit, got)
+        rep = circuit.find(circuit.nets["DIN .S0-6"])
+        driver = _scan_driver(circuit, rep)
+        want = PendingDirty()
+        want.nets[rep] = None
+        if driver is not None:
+            want.merge_component(driver)
+        _assert_same_dirt(got, want)

@@ -172,6 +172,21 @@ class TestVerifyOverHttp:
         assert doc["prescreen"] is not None
         assert doc["prescreen"]["ok"] is True
 
+    def test_reverify_reports_cone_counters(self, client):
+        sid = client.create(path=SHIFTER)
+        client.verify(sid)
+        first = client.reverify(sid, prescreen=True)
+        again = client.reverify(sid, prescreen=True)
+        assert first["prescreen"]["recomputed"] > 0  # the static index build
+        assert again["prescreen"]["recomputed"] == 0  # nothing edited since
+
+        direct = Session.from_file(SHIFTER)
+        direct.verify()
+        direct.reverify()
+        inc = direct.reverify()
+        for key in ("nets_reclassified", "checkers_visited"):
+            assert again["profile"][key] == getattr(inc.stats, key)
+
     def test_bad_edit_is_a_400(self, client):
         sid = client.create(path=SHIFTER)
         with pytest.raises(ServerError) as exc:

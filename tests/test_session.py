@@ -144,3 +144,100 @@ class TestSessionSurvivesFmax:
         with pytest.raises(RuntimeError, match="probe failed"):
             session.fmax()
         assert session.circuit.timebase is timebase
+
+
+class TestStaticPrescreenCache:
+    def _session(self):
+        from repro.workloads.synth import SynthConfig, generate
+
+        circuit, _ = generate(SynthConfig(chips=60, seed=1)).circuit()
+        session = Session(circuit)
+        session.verify()
+        return session, circuit
+
+    def test_built_at_the_first_prescreen_not_at_verify(self):
+        session, circuit = self._session()
+        assert session._static is None
+        first = session.reverify()
+        total = sum(1 for c in circuit.iter_components() if not c.prim.is_checker)
+        assert first.prescreen.recomputed == total
+        assert session.reverify().prescreen.recomputed == 0
+
+    @pytest.mark.parametrize("change", ["period", "constraints", "reconnect"])
+    def test_rebuilt_when_the_index_cannot_absorb_the_change(self, change):
+        from repro.core.timeline import scaled_timebase
+        from repro.incremental import (
+            ReconnectEdit,
+            assert_incremental_equivalent,
+        )
+
+        session, circuit = self._session()
+        session.reverify()
+        total = sum(1 for c in circuit.iter_components() if not c.prim.is_checker)
+        if change == "period":
+            circuit.timebase = scaled_timebase(
+                circuit.timebase, circuit.period_ps + 5000
+            )
+            session.verify()  # the engine re-initializes at the new period
+        elif change == "constraints":
+            session.edit(ConstraintsEdit(source="set_false_path -to c3/su\n"))
+        else:
+            session.edit(ReconnectEdit("c3/su", "I", "S0 CORR 1"))
+        inc = assert_incremental_equivalent(session, prescreen=True)
+        assert inc.prescreen.recomputed == total
+
+
+class TestSummaryOnFirstRead:
+    def test_rendered_once_when_first_read(self):
+        session = Session.from_file(SHIFTER)
+        result = session.verify()
+        assert result.phases.summary == 0.0
+        text = result.summary_listing(case=1)
+        assert result.phases.summary > 0.0
+        assert result.summary_listing(case=1) is text
+        want = TimingVerifier(_expand(SHIFTER)).verify()
+        assert text == want.summary_listing(case=1)
+
+    def test_pool_counts_a_snapshot_fetched_later(self):
+        from repro.workloads.synth import SynthConfig, generate
+
+        circuit, _ = generate(SynthConfig(chips=60, seed=1)).circuit()
+        for k in range(4):
+            circuit.add_case_by_name({"MUX CTL .S0-8": k % 2})
+        session = Session(circuit, jobs=2)
+        try:
+            result = session.verify()
+            assert result.pool.snapshots_fetched == 0
+            assert result.pool.waveforms_shipped == 0
+            result.summary_listing(case=3)
+            assert result.pool.snapshots_fetched == 1
+            assert result.pool.waveforms_shipped > 0
+        finally:
+            session.close()
+
+
+class TestPooledSessionDirt:
+    def test_pooled_runs_drain_the_parents_dirt(self):
+        """The workers consume the edits; the parent must not keep
+        accumulating them (nor re-validate structure on every run)."""
+        from repro.incremental import ReconnectEdit, WireDelayEdit
+        from repro.workloads.synth import SynthConfig, generate
+
+        circuit, _ = generate(SynthConfig(chips=60, seed=1)).circuit()
+        for k in range(4):
+            circuit.add_case_by_name({"MUX CTL .S0-8": k % 2})
+        session = Session(circuit, jobs=2)
+        serial = Session(circuit)
+        try:
+            session.verify()
+            session.edit(WireDelayEdit("S0 CORR 1", (0.0, 1.0)))
+            session.edit(ReconnectEdit("c3/su", "I", "S0 CORR 1"))
+            pooled = session.reverify(prescreen=False).result
+            dirt = session._dirty
+            assert not (dirt.components or dirt.stale_connections)
+            assert not (dirt.topology or dirt.structure)
+            want = serial.verify()
+            assert pooled.error_listing() == want.error_listing()
+            assert pooled.structure_warnings == want.structure_warnings
+        finally:
+            session.close()

@@ -309,7 +309,9 @@ echo "== incremental-equivalence gate: reverify == from-scratch =="
 # Every typed edit class on the shipped designs, plus a deterministic
 # edit sweep over synthetic circuits: the incremental run's listings must
 # be byte-identical to a from-scratch run on the same edited circuit
-# (assert_incremental_equivalent raises otherwise).
+# (assert_incremental_equivalent raises otherwise); on the synthetic
+# sweeps the incrementally updated static prescreen must also equal a
+# from-scratch static analysis.
 python - <<'EOF'
 from repro import Session
 from repro.incremental import (
@@ -351,9 +353,59 @@ for chips, seed in ((60, 1), (200, 7)):
     nets = sorted(n for n in circuit.nets if n.startswith("S0 R "))
     for i, net in enumerate(nets[:4]):
         session.edit(WireDelayEdit(net, (0.0, 0.25 * (i + 1))))
-        inc = assert_incremental_equivalent(session)
-    print(f"ok: synth chips={chips} seed={seed} reverify == scratch "
-          f"(last edit dirtied {inc.stats.dirty_primitives} primitives)")
+        inc = assert_incremental_equivalent(session, prescreen=True)
+    print(f"ok: synth chips={chips} seed={seed} reverify and prescreen == "
+          f"scratch (last edit dirtied {inc.stats.dirty_primitives} "
+          f"primitives, re-swept {inc.prescreen.recomputed} static)")
+
+# A designer's edit stream on a 1000-chip design: wire-delay and
+# gate-delay edits, each reverted three edits later, 100 in all.  Every
+# reverify runs the incremental prescreen; every tenth is policed
+# against scratch, static analysis included.
+import random
+
+circuit, _ = generate(SynthConfig(chips=1000, seed=1980)).circuit()
+session = Session(circuit)
+session.verify()
+read = {
+    circuit.find(conn.net).name
+    for comp in circuit.iter_components()
+    for _pin, conn in comp.input_pins()
+}
+nets = sorted(
+    n.name for n in circuit.representatives()
+    if n.assertion is None and n.wire_delay_ps is None and n.name in read
+)
+delays = {
+    c.name: c.params["delay"]
+    for c in circuit.iter_components()
+    if not c.prim.is_checker and isinstance(c.params.get("delay"), tuple)
+}
+comps = sorted(delays)
+rng = random.Random(1980)
+pending = []
+swept = []
+for k in range(100):
+    if len(pending) >= 3:
+        edit = pending.pop(0)
+    elif k % 2:
+        net = rng.choice(nets)
+        edit = WireDelayEdit(net, (0.0, rng.choice((1.0, 4.0, 20.0))))
+        pending.append(WireDelayEdit(net, None))
+    else:
+        name = rng.choice(comps)
+        lo, hi = delays[name]
+        edit = ParamEdit(name, {"delay": (lo / 1000, hi / 1000 + rng.choice((0.5, 6.0, 30.0)))})
+        pending.append(ParamEdit(name, {"delay": (lo / 1000, hi / 1000)}))
+    session.edit(edit)
+    if k % 10 == 9:
+        inc = assert_incremental_equivalent(session, prescreen=True)
+    else:
+        inc = session.reverify()
+    swept.append(inc.prescreen.recomputed)
+print(f"ok: synth chips=1000 100-edit stream, prescreen == scratch every "
+      f"10 edits (static components re-swept: median "
+      f"{sorted(swept)[50]}, max {max(swept)})")
 EOF
 
 echo
