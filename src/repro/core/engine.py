@@ -10,7 +10,9 @@ chip example at about 20 ms each.
 Case analysis (section 2.7) re-enters the same fixed point incrementally:
 between cases only the signals whose case mapping changed are disturbed, so
 "only those parts of the circuit that are affected by the case analysis are
-reevaluated".
+reevaluated".  The engine keeps every case's converged state, so a
+re-verification after an edit re-enters each case from its own fixed point
+and pays for the edit's cone once per case, never for a case switch.
 """
 
 from __future__ import annotations
@@ -259,6 +261,10 @@ class Engine:
         #: still hold between back-to-back API runs.
         self._intern_table = intern_table if intern_table is not None else InternTable()
         self.period = circuit.period_ps
+        #: The current case's stored waveforms.  :meth:`run_cases` gives
+        #: every case its own dict (and lane-override dict), kept in
+        #: :attr:`_states` once the case converged and never mutated after:
+        #: entering a case copies, so a returned snapshot stays valid.
         self.values: dict[Net, Waveform] = {}
         self.stats = EngineStats()
         self.xref_assumed_stable: list[str] = []
@@ -300,14 +306,23 @@ class Engine:
         #: delays, parameters and constraints, so an incremental re-verify
         #: skips the (dominant) re-checking of untouched checkers entirely.
         self._check_memo: OrderedDict[tuple, list[Violation]] = OrderedDict()
-        #: Changed-only checking: every net whose stored value changed, in
-        #: store order, from absolute position ``_log_base`` on; the log
-        #: position at which each case's checks were computed; their
-        #: records (non-empty ones only), per case and checker or gate;
-        #: and the edited components, re-checked in every case of a run.
-        self._store_log: list[Net] = []
-        self._log_base = 0
-        self._checked_at: dict[int, int] = {}
+        #: Per-case state, by case index: ``(values, lanes, case map, lane
+        #: case map)`` as the case's last run left them.  The dicts share
+        #: the interned waveforms, so a case costs one dict per map.
+        self._states: dict[int, tuple] = {}
+        #: The edits' re-entry work, set by :meth:`incremental_begin` and
+        #: done in every case by :meth:`run_cases`: the edited nets of a
+        #: fixed class with their pre-case values, and the dirty components.
+        self._reseed: tuple[list, list[Component]] | None = None
+        #: Changed-only checking: per checked case, the nets stored while
+        #: that case was current since its last check (no key: the case's
+        #: records are not valid, so its next check visits everything);
+        #: the current case's set (None when there is no key: no log is
+        #: needed); the records of each case's last check (non-empty ones
+        #: only), per checker or gate; and the edited components,
+        #: re-checked in every case of a run.
+        self._logs: dict[int, set[Net]] = {}
+        self._log: set[Net] | None = None
         self._records: dict[int, dict[str, list[Violation]]] = {}
         self._gated: dict[int, dict[str, list[Violation]]] = {}
         self._recheck: set[str] = set()
@@ -343,7 +358,7 @@ class Engine:
             c for c in self.circuit.iter_components() if c.prim.is_checker
         ]
         self._checker_pos = {c.name: k for k, c in enumerate(self._checkers)}
-        self._checked_at.clear()
+        self._logs.clear()
         if self.config.levelized_scheduling:
             t0 = time.perf_counter()
             self._ranks = self._compute_ranks()
@@ -354,7 +369,7 @@ class Engine:
         """Swap the resolved constraint set, invalidating cached verdicts."""
         self.constraints = constraints
         self._constraints_token += 1
-        self._checked_at.clear()
+        self._logs.clear()
 
     def _compute_ranks(self) -> dict[str, int]:
         """Topological depth of every non-checker component.
@@ -529,7 +544,10 @@ class Engine:
         kept across runs do not depend on the period.
         """
         self.period = self.circuit.period_ps
-        self.values.clear()
+        self.values = {}
+        self._lanes = {}
+        self._states.clear()
+        self._reseed = None
         self._fixed.clear()
         self._assumed.clear()
         self._eval_counts.clear()
@@ -541,16 +559,14 @@ class Engine:
         self._lane_keyed = False
         self._eval_memo.clear()
         self._check_memo.clear()
-        self._store_log.clear()
-        self._log_base = 0
-        self._checked_at.clear()
+        self._logs.clear()
+        self._log = None
         self._records.clear()
         self._gated.clear()
         self._recheck.clear()
         self.stats = EngineStats(
             levelize_seconds=self._levelize_seconds, max_rank=self._max_rank
         )
-        self._lanes.clear()
         self._case_map, self._lane_case = self._build_case_map(case or {})
         reps = self._reps = self.circuit.representatives()
         for rep in reps:
@@ -725,7 +741,8 @@ class Engine:
         if prev is wf or prev == wf:
             return
         self.values[rep] = wf
-        self._store_log.append(rep)
+        if self._log is not None:
+            self._log.add(rep)
         self.stats.events += 1
         if rep.width > 1:
             self.stats.vector_events += 1
@@ -755,7 +772,8 @@ class Engine:
         ) == over:
             return
         self.values[rep] = base
-        self._store_log.append(rep)
+        if self._log is not None:
+            self._log.add(rep)
         if over:
             self._lanes[rep] = dict(over)
             self.stats.lane_splits += 1
@@ -791,24 +809,59 @@ class Engine:
     ) -> Iterator[tuple[int, int, list[Violation]]]:
         """Converge and check each case in turn (section 2.7).
 
-        The engine must already stand at ``cases[0]`` (after
-        :meth:`initialize` or :meth:`incremental_begin`).  Yields
-        ``(case_index, events, violations)`` per case while the engine
-        still holds that case's fixed point, so a caller can snapshot it
-        before the next case is applied.
+        The only place a case is entered.  After :meth:`initialize` the
+        engine stands at ``cases[0]``, and each later case is reached from
+        the one before by :meth:`apply_case`.  After
+        :meth:`incremental_begin` every case re-enters from its own kept
+        state instead: restore it, re-store the edited nets under that
+        case's mapping, enqueue the dirty components, run.  An edit then
+        costs its cone once per case, whatever the cases' distance from
+        each other.  ``first_index`` is the absolute index of ``cases[0]``
+        (a pool worker's block start), which keys the kept states.
+
+        Yields ``(case_index, events, violations)`` per case while the
+        engine still holds that case's fixed point, so a caller can
+        :meth:`snapshot` it before the next case is entered.
         """
+        reseed, self._reseed = self._reseed, None
         for i, case in enumerate(cases):
-            if i:
+            index = first_index + i
+            self._log = self._logs.get(index)
+            if reseed is not None:
+                self._reenter(self._states[index], *reseed)
+            elif i:
                 self.apply_case(case)
             events = self.run()
-            index = first_index + i
-            yield index, events, self.check(case_index=index)
+            found = self.check(case_index=index)
+            self._states[index] = (
+                self.values, self._lanes, self._case_map, self._lane_case
+            )
+            yield index, events, found
+
+    def _reenter(
+        self, kept: tuple, nets: list, dirty: list[Component]
+    ) -> None:
+        """Restore one case's kept state and seed it with the edits."""
+        values, lanes, self._case_map, self._lane_case = kept
+        self.values = dict(values)
+        self._lanes = dict(lanes)
+        self._word_needed = bool(self._lane_case)
+        restored = 0
+        for rep, raw, caseable in nets:
+            restored += self._restore(rep, raw, caseable)
+        for comp in dirty:
+            self._enqueue(comp)
+        self.stats.reused_waveforms += len(self.values) - restored
 
     def apply_case(self, case: dict[str, int]) -> set[Net]:
         """Switch to the next case, disturbing only affected signals.
 
+        The current case's dicts are copied first, so the state the
+        previous case left (and any snapshot of it) stays intact.
         Returns the affected nets: those whose case constant changed.
         """
+        self.values = dict(self.values)
+        self._lanes = dict(self._lanes)
         new_map, new_lanes = self._build_case_map(case)
         affected = {
             rep
@@ -851,7 +904,8 @@ class Engine:
         if self.values.get(rep) == base and self._lanes.get(rep, {}) == over:
             return False
         self.values[rep] = base
-        self._store_log.append(rep)
+        if self._log is not None:
+            self._log.add(rep)
         if over:
             self._lanes[rep] = over
             self.stats.lane_splits += 1
@@ -925,46 +979,42 @@ class Engine:
 
     def incremental_begin(
         self,
-        case: dict[str, int] | None,
         dirty: Iterable[Component],
         *,
         nets: Iterable[Net] = (),
         checkers: Iterable[Component] = (),
         everything: bool = False,
     ) -> None:
-        """Re-enter the fixed point after circuit edits, reusing state.
+        """Prepare to re-enter every case's fixed point after circuit edits.
 
         The alternative to :meth:`initialize` for a circuit already
-        verified by this engine: stored waveforms, the intern table, the
-        evaluation memo and the prepared-input cache all survive; only
-        the ``dirty`` components (plus anything the reclassification
-        below disturbs) are enqueued.  Correctness rests on the same
-        argument as :meth:`apply_case` and the parallel case blocks: for
-        a legal synchronous design the fixed point is unique, so any
-        starting state converges to the same waveforms provided every
-        component whose inputs differ from the converged state is queued.
+        verified by this engine: the kept per-case states, the intern
+        table, the evaluation memo and the prepared-input cache all
+        survive, and the next :meth:`run_cases` re-enters each case from
+        its own converged state.  Correctness rests on the same argument
+        as :meth:`apply_case` and the parallel case blocks: for a legal
+        synchronous design the fixed point is unique, so any starting
+        state converges to the same waveforms provided every component
+        whose inputs differ from the converged state is queued.
 
-        Three steps:
+        Two steps here, the rest per case in :meth:`run_cases`:
 
-        1. ``apply_case`` switches from the last run's final case mapping
-           back to ``case`` (normally ``cases[0]``), disturbing exactly
-           the case-affected signals.
-        2. The initial-value class (supply / clock assertion / driven /
-           asserted / input-delay / assumed-stable) of the edited
-           ``nets`` and the case-affected ones is re-derived; fixed-class
-           nets whose waveform changed are re-stored and the
-           assumed-stable cross-reference is updated if a net entered or
-           left that class.  ``everything`` (topology, structure or
+        1. The initial-value class (supply / clock assertion / driven /
+           asserted / input-delay / assumed-stable) of the edited ``nets``
+           is re-derived; the assumed-stable cross-reference is updated if
+           a net entered or left that class, and each fixed-class net is
+           kept with its pre-case value, to be re-stored under every
+           case's mapping.  ``everything`` (topology, structure or
            constraints dirt) re-derives every net and drops every kept
-           checker verdict.  Every other stored waveform is carried over
-           (counted as ``reused_waveforms``).
-        3. The ``dirty`` components are enqueued to seed the worklist;
-           the edited ``checkers`` are re-checked in every case.
+           checker verdict.
+        2. The ``dirty`` components are kept to seed every case's
+           worklist; they and the edited ``checkers`` are re-checked in
+           every case.
         """
-        if not self.values:
+        if not self._states:
             raise RuntimeError(
                 "incremental_begin needs a previously converged run; "
-                "call initialize() + run() first"
+                "call initialize() and run_cases() first"
             )
         dirty = list(dirty)
         self._eval_counts.clear()
@@ -976,32 +1026,29 @@ class Engine:
             max_rank=self._max_rank,
             incremental_runs=1,
         )
-        affected = self.apply_case(case or {})
         if everything:
             self._fixed.clear()
             self._assumed.clear()
-            self._checked_at.clear()
+            self._logs.clear()
             reps = self._reps = self.circuit.representatives()
         else:
-            reps = list(dict.fromkeys([*nets, *affected]))
+            reps = list(dict.fromkeys(nets))
         moved = everything
-        restored = 0
+        fixed = []
         for rep in reps:
             was = rep in self._assumed
             self._fixed.discard(rep)
             self._assumed.discard(rep)
             raw, caseable = self._initial_value_raw(rep)
             moved = moved or was != (rep in self._assumed)
-            if rep in self._fixed and self._restore(rep, raw, caseable):
-                restored += 1
+            if rep in self._fixed:
+                fixed.append((rep, raw, caseable))
         if moved:
             self._sync_classes(self._reps)
-        for comp in dirty:
-            self._enqueue(comp)
+        self._reseed = (fixed, dirty)
         self._recheck = {c.name for c in checkers}
         self._recheck.update(c.name for c in dirty)
         self.stats.nets_reclassified = len(reps)
-        self.stats.reused_waveforms = len(self.values) - restored
         self.stats.dirty_primitives = len(self._dirty_cone(dirty))
 
     # ------------------------------------------------------------------
@@ -1266,16 +1313,16 @@ class Engine:
         The first check of a case after :meth:`initialize` (or after a
         topology or constraints change) visits every checker and every
         gate with an ``&A``/``&H`` stability check.  A later check of the
-        same case visits only those reading a net stored since that case
-        was last checked — by this run's earlier cases as much as by the
-        previous run's later ones — and the edited ones; every other
+        same case visits only those reading a net stored while that case
+        was current since its last check, and the edited ones; every other
         one's records from the last check of this case still hold, and
-        are reused.
+        are reused.  Each case has its own stored values, so a store made
+        in another case cannot change this one's.
         """
         records = self._records.setdefault(case_index, {})
         gated = self._gated.setdefault(case_index, {})
-        since = self._checked_at.get(case_index)
-        if since is None:
+        log = self._logs.get(case_index)
+        if log is None:
             records.clear()
             gated.clear()
             visit = self._checkers
@@ -1283,7 +1330,7 @@ class Engine:
         else:
             names = set(self._recheck)
             loads = self._loads
-            for rep in set(self._store_log[since - self._log_base:]):
+            for rep in log:
                 names.update(load.name for load in loads.get(rep, ()))
             components = self.circuit.components
             visit = [
@@ -1305,12 +1352,7 @@ class Engine:
             else:
                 gated.pop(name, None)
         self.stats.checkers_visited += len(visit)
-        self._checked_at[case_index] = self._log_base + len(self._store_log)
-        # Stores every case has been checked past are of no further use.
-        low = min(self._checked_at.values())
-        if low > self._log_base:
-            del self._store_log[: low - self._log_base]
-            self._log_base = low
+        self._logs[case_index] = self._log = set()
         pos = self._checker_pos
         violations = [
             v for name in sorted(records, key=pos.__getitem__)
@@ -1761,9 +1803,15 @@ class Engine:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> dict[str, Waveform]:
-        """The converged waveform of every representative signal, by name."""
-        values = self.values
-        return {rep.name: values[rep] for rep in self._reps}
+        """The converged waveform of every representative signal, by name.
+
+        A lazy view over the current case's own dict, which no later run
+        mutates: the name-keyed dict is built on first read.
+        """
+        from .verifier import LazySnapshot
+
+        values, reps = self.values, self._reps
+        return LazySnapshot(lambda: {rep.name: values[rep] for rep in reps})
 
     def waveform_of(self, name: str) -> Waveform:
         net = self.circuit.nets.get(name)

@@ -20,6 +20,88 @@ from .violations import CheckReport, Violation
 from .waveform import Waveform
 
 
+class LazySnapshot(dict):
+    """A per-case ``{name: Waveform}`` listing built on first read.
+
+    What :class:`CaseResult.waveforms` holds, serial or pooled.  ``fetch``
+    builds the name-keyed dict: from the engine's own Net-keyed state of
+    the case (:meth:`Engine.snapshot`), or over a pool worker's pipe
+    (``repro.parallel``).  It runs on the first read access (listings,
+    crosscheck, ``result.waveform()``), so a run whose snapshots nobody
+    reads neither names nor ships a waveform.  Pickling materializes to a
+    plain dict, so results stay portable after the engine or pool is gone.
+    """
+
+    __slots__ = ("_fetch", "__weakref__")
+
+    def __init__(self, fetch) -> None:
+        super().__init__()
+        self._fetch = fetch
+
+    @property
+    def loaded(self) -> bool:
+        return self._fetch is None
+
+    def _load(self) -> None:
+        if self._fetch is not None:
+            fetch, self._fetch = self._fetch, None
+            super().update(fetch())
+
+    def __getitem__(self, key):
+        self._load()
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self._load()
+        return super().__contains__(key)
+
+    def __iter__(self):
+        self._load()
+        return super().__iter__()
+
+    def __len__(self):
+        self._load()
+        return super().__len__()
+
+    def get(self, key, default=None):
+        self._load()
+        return super().get(key, default)
+
+    def keys(self):
+        self._load()
+        return super().keys()
+
+    def values(self):
+        self._load()
+        return super().values()
+
+    def items(self):
+        self._load()
+        return super().items()
+
+    def copy(self):
+        self._load()
+        return dict(self)
+
+    def __eq__(self, other):
+        self._load()
+        if isinstance(other, LazySnapshot):
+            other._load()
+        return dict.__eq__(self, other)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return NotImplemented if eq is NotImplemented else not eq
+
+    def __repr__(self):
+        self._load()
+        return dict.__repr__(self)
+
+    def __reduce__(self):
+        self._load()
+        return (dict, (dict(self),))
+
+
 @dataclass
 class CaseResult:
     """The converged state of one simulated case (section 2.7)."""

@@ -8,8 +8,8 @@ same circuit object is always available as the correctness oracle — and
 folds what it dirtied into a :class:`PendingDirty` accumulator:
 
 * ``components`` — primitives whose next evaluation may produce a new
-  output; :meth:`Engine.incremental_begin` seeds the worklist with them
-  and lets event propagation walk the rest of the cone.
+  output; :meth:`Engine.incremental_begin` keeps them to seed every
+  case's worklist and lets event propagation walk the rest of the cone.
 * ``checkers`` — checkers whose verdict may change with no input value
   changing (edited setup/hold, or a changed wire delay at an input).
 * ``nets`` — the nets an edit touched, whose initial-value class is

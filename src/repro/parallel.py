@@ -14,19 +14,21 @@ the pool is persistent and the traffic is deltas:
   the first pooled run; the circuit crosses the process boundary exactly
   once (by fork copy-on-write where available).  The workers survive
   across ``verify``/``reverify``/CLI calls — each holds its own Session,
-  so consecutive runs on a warm worker re-enter the fixed point through
-  :meth:`Engine.incremental_begin` instead of re-initializing, and
-  typed :mod:`repro.incremental` edits are shipped over the pipe instead
-  of re-pickling the circuit.
+  so consecutive runs on a warm worker re-enter each case of its block
+  from that case's own fixed point (:meth:`Engine.run_cases` after
+  :meth:`Engine.incremental_begin`) instead of re-initializing, and
+  typed :mod:`repro.incremental` edits ride in the block request instead
+  of re-pickling the circuit: one round trip per pooled run.
 
 * **Digest transfer.**  Waveforms cross each pipe, worker to parent,
   through a digest codec (:class:`_WaveEncoder`/:class:`_WaveDecoder`):
   the first shipment of a value is ``(id, Waveform)``, every repeat is a
   bare integer — the receiving side appends to its table in lockstep, so
   no handshake is needed and a converged value that appears in every
-  case costs one pickle total.  Per-case snapshots stay on the worker;
-  the parent's :class:`CaseResult` holds a :class:`LazySnapshot` that
-  fetches the full listing only when something reads it.
+  case costs one pickle total.  Per-case states stay on the worker,
+  Net-keyed; the parent's :class:`CaseResult` holds a
+  :class:`~repro.core.verifier.LazySnapshot` that fetches the named
+  listing only when something reads it.
 
 Merging stays deterministic: blocks are keyed by their start index,
 per-case violations are concatenated in case order, stats are summed via
@@ -49,6 +51,7 @@ from dataclasses import dataclass
 from .core.config import VerifyConfig
 from .core.engine import EngineStats
 from .core.verifier import (
+    LazySnapshot,
     PoolStats,
     TimingVerifier,
     VerificationResult,
@@ -58,7 +61,6 @@ from .core.waveform import Waveform
 from .netlist.circuit import Circuit
 
 __all__ = [
-    "LazySnapshot",
     "WorkerCrash",
     "WorkerPool",
     "case_blocks",
@@ -159,87 +161,6 @@ class _WaveDecoder:
         return wf
 
 
-class LazySnapshot(dict):
-    """A per-case waveform listing fetched from its worker on first read.
-
-    Quacks exactly like the plain ``{name: Waveform}`` dict the serial
-    verifier stores in :class:`CaseResult.waveforms`; the fetch happens on
-    the first read access (listings, crosscheck, ``result.waveform()``),
-    so a run whose snapshots nobody reads ships no waveforms at all.
-    Pickling materializes to a plain dict, so results stay portable after
-    the pool is gone.
-    """
-
-    __slots__ = ("_fetch", "__weakref__")
-
-    def __init__(self, fetch) -> None:
-        super().__init__()
-        self._fetch = fetch
-
-    @property
-    def loaded(self) -> bool:
-        return self._fetch is None
-
-    def _load(self) -> None:
-        if self._fetch is not None:
-            fetch, self._fetch = self._fetch, None
-            super().update(fetch())
-
-    def __getitem__(self, key):
-        self._load()
-        return super().__getitem__(key)
-
-    def __contains__(self, key):
-        self._load()
-        return super().__contains__(key)
-
-    def __iter__(self):
-        self._load()
-        return super().__iter__()
-
-    def __len__(self):
-        self._load()
-        return super().__len__()
-
-    def get(self, key, default=None):
-        self._load()
-        return super().get(key, default)
-
-    def keys(self):
-        self._load()
-        return super().keys()
-
-    def values(self):
-        self._load()
-        return super().values()
-
-    def items(self):
-        self._load()
-        return super().items()
-
-    def copy(self):
-        self._load()
-        return dict(self)
-
-    def __eq__(self, other):
-        self._load()
-        if isinstance(other, LazySnapshot):
-            other._load()
-        return dict.__eq__(self, other)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    def __repr__(self):
-        self._load()
-        return dict.__repr__(self)
-
-    def __reduce__(self):
-        self._load()
-        return (dict, (dict(self),))
-
-
 # ----------------------------------------------------------------------
 # wire format
 # ----------------------------------------------------------------------
@@ -284,15 +205,15 @@ class _Worker:
         self.conn = conn
         self.session = Session(circuit, config, constraints=constraints)
         self.enc = _WaveEncoder()  # worker -> parent
-        #: The worker engine holds a converged block state usable by
-        #: incremental_begin.
+        #: The worker engine holds every block case's converged state, so
+        #: the next block re-enters them (incremental_begin + run_cases).
         self.converged = False
-        self.snapshots: dict[int, dict[str, Waveform]] = {}
+        #: The last block's per-case snapshots, named only when fetched.
+        self.snapshots: dict[int, LazySnapshot] = {}
         self.sent_names: tuple | None = None
 
     def serve(self) -> None:
         handlers = {
-            "edits": self._do_edits,
             "block": self._do_block,
             "fetch": self._do_fetch,
         }
@@ -317,16 +238,16 @@ class _Worker:
 
     # -- commands -------------------------------------------------------
 
-    def _do_edits(self, edits):
-        self.session.edit(*edits)
-        return None
-
-    def _do_block(self, start, block_cases):
+    def _do_block(self, start, block_cases, edits):
+        """Apply the edits queued since the last run, then run the block."""
         t0, c0 = time.perf_counter(), time.process_time()
+        if edits:
+            self.session.edit(*edits)
         engine = self.session.engine
-        warm = self.converged and bool(engine.values)
-        # Warm: the same path as a serial reverify (unique fixed point, so
-        # the incremental restart converges to byte-identical waveforms).
+        warm = self.converged
+        # Warm: the same path as a serial reverify, each case re-entered
+        # from its own kept state (unique fixed point, so the incremental
+        # restart converges to byte-identical waveforms).
         self.session._begin(block_cases[0], incremental=warm)
         self.converged = False
         xref = list(engine.xref_assumed_stable)
@@ -336,7 +257,7 @@ class _Worker:
         t0, c0 = time.perf_counter(), time.process_time()
         violations: list[list[Violation]] = []
         events: list[int] = []
-        store: dict[int, dict[str, Waveform]] = {}
+        store: dict[int, LazySnapshot] = {}
         for index, case_events, found in engine.run_cases(block_cases, start):
             events.append(case_events)
             violations.append(found)
@@ -366,6 +287,7 @@ class _Worker:
             self.sent_names = names
             header = names
         return header, [self.enc.encode(snap[name]) for name in names]
+
 
 def _worker_main(conn, circuit, config, constraints) -> None:
     worker = _Worker(conn, circuit, config, constraints)
@@ -532,27 +454,32 @@ class WorkerPool:
     def watch(self, snap: LazySnapshot) -> None:
         self._watched.append(weakref.ref(snap))
 
-    def _ensure_ready(self, what: str) -> None:
-        self._materialize_pending()
-        if not self.started:
-            self._start()
-        if self._outbox:
-            edits, self._outbox = self._outbox, []
-            for k in range(len(self._conns)):
-                self._send(k, ("edits", edits), what)
-            for k in range(len(self._conns)):
-                self._recv(k, what)
-            self.stats.edits_shipped += len(edits)
-
     # -- case blocks ----------------------------------------------------
 
     def run_blocks(self, cases, blocks) -> list[_BlockResult]:
-        """Scatter contiguous case blocks, one per worker; gather in order."""
-        self._ensure_ready("edit shipment")
+        """Scatter contiguous case blocks, one per worker; gather in order.
+
+        Each block request carries the edits queued since the last run,
+        so a pooled run is one round trip per worker.  A worker's error
+        (an edit it could not apply, or its block's run) is raised as
+        that block's, and the pool is reaped: the next run reforks from
+        the parent's circuit.
+        """
+        self._materialize_pending()
+        if not self.started:
+            self._start()
+        edits, self._outbox = self._outbox, []
         names = [f"case block {a}..{b - 1}" for a, b in blocks]
         for k, (a, b) in enumerate(blocks):
-            self._send(k, ("block", a, cases[a:b]), names[k])
-        parts = [self._recv(k, names[k]) for k in range(len(blocks))]
+            self._send(k, ("block", a, cases[a:b], edits), names[k])
+        self.stats.edits_shipped += len(edits)
+        try:
+            parts = [self._recv(k, names[k]) for k in range(len(blocks))]
+        except RuntimeError:
+            # A failed worker may hold part of the edits: refork from the
+            # parent's circuit at the next run instead.
+            self.shutdown()
+            raise
         self.stats.runs += 1
         if parts and all(p.warm for p in parts):
             self.stats.warm_runs += 1

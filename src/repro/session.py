@@ -19,6 +19,9 @@ state explicitly and keeps it alive across runs:
 a thin wrapper that makes a one-shot session); :meth:`Session.reverify`
 re-enters the fixed point from the converged state, seeding the worklist
 from the edits' dirty cone and reusing every unchanged stored waveform.
+The engine keeps each §2.7 case's converged state, so with several cases
+every case re-enters from its own fixed point: an edit costs cases ×
+cone, and a reverify with no edit costs no event and visits no checker.
 Every step of a reverify scales with that cone, not the design: the
 touched nets alone are reclassified, only checkers with a changed input
 are visited, and the static windows pre-screen (on by default; the
@@ -26,8 +29,10 @@ engine's verdict stays the authority) re-sweeps only the edits' fanout
 of an index kept from its first run.  On a 1 000-chip design (1 209
 primitives) an edit plus a reverify with the pre-screen takes a median
 1.2 ms of CPU on a 2-CPU host, against 75–90 ms when each step redid the
-whole design (the pre-screen alone 50–60 ms).  Byte-identity with a
-from-scratch run is the correctness gate
+whole design (the pre-screen alone 50–60 ms); with 8 cases, a reverify
+without the pre-screen takes about 1 ms, against 120 ms when each case
+was reached from the one before.  Byte-identity with a from-scratch run
+is the correctness gate
 (:func:`repro.incremental.assert_incremental_equivalent`).
 """
 
@@ -40,6 +45,7 @@ from .core.config import VerifyConfig
 from .core.engine import Engine
 from .core.verifier import (
     CaseResult,
+    LazySnapshot,
     PhaseTimes,
     VerificationResult,
 )
@@ -231,11 +237,12 @@ class Session:
             self._dirty.merge(dirt)
             if self._static is not None:
                 self._static_dirty.merge(dirt)
-        if self._pool is not None:
-            # Workers reconcile lazily too: the typed edits travel over
-            # the pipes at the next pooled run (a ConstraintsEdit
-            # re-resolves against the worker's own circuit copy).
-            self._pool.queue_edits(edits)
+            if self._pool is not None:
+                # Workers reconcile lazily too: each applied edit travels
+                # over the pipes with the next pooled run (a ConstraintsEdit
+                # re-resolves against the worker's own circuit copy).  An
+                # edit that raised above was never applied, so is not sent.
+                self._pool.queue_edits((e,))
         return self
 
     def close(self) -> None:
@@ -289,15 +296,20 @@ class Session:
         phases.verify = time.perf_counter() - t0
 
         result = self._package(report, case_results, xref, warnings, phases)
-        self._converged = True
         self.runs += 1
         return result
 
     def _run_cases(self, cases) -> tuple[CheckReport, list[CaseResult]]:
-        """Every case to its fixed point on the engine, snapshotting each."""
+        """Every case to its fixed point on the engine, snapshotting each.
+
+        A snapshot is a lazy view over the case's own kept state, named
+        only when a listing reads it.  A run that raises leaves the
+        session unconverged, so the next reverify is a full run.
+        """
         engine = self.engine
         report = CheckReport()
         case_results: list[CaseResult] = []
+        self._converged = False
         for index, events, found in engine.run_cases(cases):
             report.extend(found)
             case_results.append(
@@ -308,6 +320,7 @@ class Session:
                     events=events,
                 )
             )
+        self._converged = True
         return report, case_results
 
     def reverify(self, prescreen: bool = True) -> IncrementalResult:
@@ -355,8 +368,9 @@ class Session:
         return IncrementalResult(result=result, incremental=True, prescreen=pre)
 
     def _begin(self, case, incremental: bool) -> None:
-        """Fold the pending edits into the engine and start a run at
-        ``case``: from the converged state, or from scratch."""
+        """Fold the pending edits into the engine and ready its next
+        :meth:`Engine.run_cases`: re-entering every case's converged
+        state, or from scratch at ``case``."""
         dirty, self._dirty = self._dirty, PendingDirty()
         engine = self.engine
         if dirty.topology:
@@ -366,7 +380,6 @@ class Session:
             return
         engine.forget_connections(dirty.stale_connections)
         engine.incremental_begin(
-            case,
             dirty.components.values(),
             nets=dirty.nets,
             checkers=dirty.checkers.values(),
@@ -502,7 +515,6 @@ class Session:
     def _pooled_blocks(self, cases, blocks) -> VerificationResult:
         """Contiguous case blocks, one per warm worker (§2.7 case axis)."""
         from .core.engine import EngineStats
-        from .parallel import LazySnapshot
 
         pool = self._pool
         phases, cpu = PhaseTimes(), PhaseTimes()

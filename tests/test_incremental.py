@@ -10,6 +10,8 @@ randomized edit sequences over the synthetic generator's size x seed
 matrix.
 """
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from repro import Session
 from repro.incremental import (
     AssertionEdit,
+    ConstraintsEdit,
     ParamEdit,
     PendingDirty,
     ReconnectEdit,
@@ -88,9 +91,9 @@ class TestEditTypes:
         assert inc.prescreen.worst_slack_ps < before.prescreen.worst_slack_ps
 
     def test_later_case_sees_earlier_case_stores(self):
-        """A net re-stored while case 0 converges holds its new value in
-        case 1 too, where nothing stores it again: case 1's checkers on
-        it must still be re-checked."""
+        """An edit whose cone re-stores a net in both cases: each case's
+        checkers on it must be re-checked, from that case's own log of
+        stores."""
         circuit, _ = generate(SynthConfig(chips=60, seed=1)).circuit()
         for k in range(2):
             circuit.add_case_by_name({"MUX CTL .S0-8": k})
@@ -355,6 +358,64 @@ def test_randomized_edit_sequences(chips, seed, data):
         assert_incremental_equivalent(session, prescreen=True)
 
 
+def _multicase_circuit(chips, seed, lanes=False):
+    """A synthetic circuit with four cases; with ``lanes``, two of the
+    case keys address single lanes of a vector net (``"NAME [i]"``), so
+    every case keeps lane overrides in its state."""
+    circuit, _ = generate(SynthConfig(chips=chips, seed=seed)).circuit()
+    for k in range(4):
+        if lanes:
+            case = {
+                "MUX CTL .S0-8": k % 2,
+                "ALU CTL .S0-8 [1]": k // 2,
+                "ALU CTL .S0-8 [3]": 1 - k // 2,
+            }
+        else:
+            case = {"MUX CTL .S0-8": k % 2, "CS CTL .S0-8": k // 2}
+        circuit.add_case_by_name(case)
+    return circuit
+
+
+@st.composite
+def _rescan_edit(draw, session):
+    """An edit that makes the next reverify re-derive every net: a
+    register's data input rewired (a topology edit; the register keeps
+    every loop legal) or the constraint set swapped."""
+    circuit = session.circuit
+    if draw(st.booleans()):
+        return ConstraintsEdit(clear=True)
+    reg = draw(st.sampled_from(sorted(
+        c.name for c in circuit.iter_components() if c.prim.name == "REG"
+    )))
+    width = circuit.components[reg].width
+    target = draw(st.sampled_from(sorted(
+        n.name for n in circuit.representatives()
+        if n.width == width and n.assertion is None
+    )))
+    return ReconnectEdit(reg, "DATA", target)
+
+
+def _assert_same_listings(got, want):
+    """Pooled against serial, byte for byte."""
+    assert got.error_listing() == want.error_listing()
+    assert got.xref_assumed_stable == want.xref_assumed_stable
+    for case in range(len(want.cases)):
+        assert got.summary_listing(case=case) == want.summary_listing(case=case)
+
+
+def _multicase_rounds(session, data):
+    """Four reverify rounds, with an edit that re-derives every net in the
+    middle: reverify == from-scratch, every case's summary listing
+    included."""
+    session.verify()
+    for round_ in range(4):
+        edits = data.draw(_edits(session))
+        if round_ == 2:
+            edits.append(data.draw(_rescan_edit(session)))
+        session.edit(*edits)
+        assert_incremental_equivalent(session, prescreen=True)
+
+
 @settings(
     max_examples=6,
     deadline=None,
@@ -363,18 +424,51 @@ def test_randomized_edit_sequences(chips, seed, data):
 @given(data=st.data())
 @pytest.mark.parametrize("chips,seed", [(30, 1), (60, 2)])
 def test_randomized_multicase_edit_sequences(chips, seed, data):
-    """With several cases, a case's checker records are reused only for
-    checkers no store since that case's last check has reached — stores
-    of this run's earlier cases and of the last run's later ones both
-    count."""
-    circuit, _ = generate(SynthConfig(chips=chips, seed=seed)).circuit()
-    for k in range(4):
-        circuit.add_case_by_name({"MUX CTL .S0-8": k % 2, "CS CTL .S0-8": k // 2})
-    session = Session(circuit)
-    session.verify()
-    for _ in range(2):
-        session.edit(*data.draw(_edits(session)))
-        assert_incremental_equivalent(session, prescreen=True)
+    """Each case re-enters from its own kept state."""
+    _multicase_rounds(Session(_multicase_circuit(chips, seed)), data)
+
+
+@settings(
+    max_examples=4,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+@pytest.mark.parametrize("chips,seed", [(30, 1), (60, 2)])
+def test_randomized_multicase_lane_edit_sequences(chips, seed, data):
+    """Per-lane case keys: each case's kept state carries lane overrides,
+    parked while the other cases run."""
+    _multicase_rounds(Session(_multicase_circuit(chips, seed, lanes=True)), data)
+
+
+@settings(
+    max_examples=4,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+@pytest.mark.parametrize("chips,seed", [(30, 1), (60, 2)])
+def test_randomized_multicase_edit_sequences_pooled(chips, seed, data):
+    """The same rounds on a two-worker pool: pooled == from-scratch, and
+    pooled == serial, per-case reverify events included."""
+    serial = Session(_multicase_circuit(chips, seed))
+    pooled = Session(_multicase_circuit(chips, seed), jobs=2)
+    try:
+        _assert_same_listings(pooled.verify(), serial.verify())
+        for round_ in range(4):
+            edits = data.draw(_edits(serial))
+            if round_ == 2:
+                edits.append(data.draw(_rescan_edit(serial)))
+            serial.edit(*edits)
+            pooled.edit(*edits)
+            got = assert_incremental_equivalent(pooled).result
+            want = serial.reverify(prescreen=False).result
+            _assert_same_listings(got, want)
+            # A full run's later blocks start from scratch, but a reverify
+            # re-enters every case from its own state, pooled or not.
+            assert got.stats.events_by_case == want.stats.events_by_case
+    finally:
+        pooled.close()
 
 
 @settings(
@@ -495,3 +589,104 @@ class TestEditDirtMatchesFullScan:
         if driver is not None:
             want.merge_component(driver)
         _assert_same_dirt(got, want)
+
+
+# ----------------------------------------------------------------------
+# multi-case re-verify: each case from its own fixed point
+# ----------------------------------------------------------------------
+
+
+def _edit_stream(circuit, seed, count):
+    """Seeded wire-delay and gate-delay edits, each reverted two edits on."""
+    rng = random.Random(seed)
+    read = {
+        circuit.find(conn.net).name
+        for comp in circuit.iter_components()
+        for _pin, conn in comp.input_pins()
+    }
+    nets = sorted(
+        n.name for n in circuit.representatives()
+        if n.assertion is None and not n.is_case_signal and n.name in read
+    )
+    delays = {
+        c.name: c.params["delay"]
+        for c in circuit.iter_components()
+        if not c.prim.is_checker and isinstance(c.params.get("delay"), tuple)
+    }
+    pending = []
+    for k in range(count):
+        if len(pending) >= 2:
+            yield pending.pop(0)
+        elif k % 2:
+            net = rng.choice(nets)
+            yield WireDelayEdit(net, (0.0, rng.choice((0.5, 4.0, 20.0))))
+            pending.append(WireDelayEdit(net, None))
+        else:
+            name = rng.choice(sorted(delays))
+            lo, hi = delays[name]
+            extra = rng.choice((0.5, 6.0, 30.0))
+            yield ParamEdit(name, {"delay": (lo / 1000, hi / 1000 + extra)})
+            pending.append(ParamEdit(name, {"delay": (lo / 1000, hi / 1000)}))
+
+
+class TestPerCaseReentry:
+    """A multi-case reverify costs cases x cone: every case re-enters from
+    the state its own last run left, not from the case before it."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_noop_reverify_costs_nothing_in_every_case(self, jobs):
+        session = Session(_multicase_circuit(30, 1), jobs=jobs)
+        try:
+            session.verify()
+            for _ in range(2):
+                inc = session.reverify(prescreen=False)
+                assert inc.incremental
+                assert inc.stats.events_by_case == [0] * 4
+                assert inc.stats.checkers_visited == 0
+        finally:
+            session.close()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_case_events_equal_single_case_sessions(self, jobs):
+        """Per case, the edit's events are exactly those of a session
+        that only ever knew that case."""
+        session = Session(_multicase_circuit(60, 2), jobs=jobs)
+        singles = []
+        for case in session.circuit.cases:
+            circuit = _multicase_circuit(60, 2)
+            circuit.cases = [dict(case)]
+            singles.append(Session(circuit))
+        try:
+            session.verify()
+            for single in singles:
+                single.verify()
+            for k, edit in enumerate(_edit_stream(session.circuit, 1980, 12)):
+                session.edit(edit)
+                if k % 4 == 3:
+                    inc = assert_incremental_equivalent(session)
+                else:
+                    inc = session.reverify(prescreen=False)
+                want = []
+                for single in singles:
+                    single.edit(edit)
+                    want.extend(single.reverify(prescreen=False).stats.events_by_case)
+                assert inc.stats.events_by_case == want, k
+        finally:
+            session.close()
+
+    def test_results_survive_later_runs(self):
+        """A returned case snapshot is a view of the case's own state,
+        which later runs copy instead of mutating: read only after an
+        edit's reverify, it still shows the run that returned it."""
+        session = Session(_multicase_circuit(30, 1))
+        first = session.verify()
+        want = Session(_multicase_circuit(30, 1)).verify()
+        gate = next(
+            c for c in session.circuit.iter_components()
+            if not c.prim.is_checker and isinstance(c.params.get("delay"), tuple)
+        )
+        lo, hi = gate.params["delay"]
+        session.edit(ParamEdit(gate.name, {"delay": (lo / 1000, hi / 1000 + 30.0)}))
+        assert min(session.reverify(prescreen=False).stats.events_by_case) > 0
+        for k in range(4):
+            assert first.summary_listing(case=k) == want.summary_listing(case=k)

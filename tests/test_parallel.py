@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from repro.core.verifier import TimingVerifier, VerificationResult
 from repro.hdl.expander import MacroExpander
 from repro.incremental import WireDelayEdit
 from repro.modular import verify_sections
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, NetlistError
 from repro.parallel import WorkerCrash, case_blocks, verify_parallel
 from repro.session import Session
 from repro.workloads.figures import (
@@ -208,6 +209,60 @@ class TestWarmPool:
             assert pool.snapshots_fetched == 10
         finally:
             sess.close()
+
+
+    def test_one_round_trip_per_run(self, monkeypatch):
+        """The queued edits ride in the block request: a pooled reverify
+        sends each worker one message and reads one reply."""
+        sess = Session(synth_with_cases(60, 1), jobs=2)
+        try:
+            sess.verify()
+            sent = []
+            send = sess._pool._send
+            monkeypatch.setattr(
+                sess._pool, "_send",
+                lambda k, msg, what: (sent.append(msg), send(k, msg, what)),
+            )
+            edit = WireDelayEdit("MUX CTL .S0-8", (0.0, 2.0))
+            inc = sess.edit(edit).reverify(prescreen=False)
+            assert [(m[0], m[1], m[3]) for m in sent] == [
+                ("block", 0, [edit]), ("block", 3, [edit])
+            ]
+            assert inc.result.pool.edits_shipped == 1
+            assert inc.result.pool.warm_runs == 1
+        finally:
+            sess.close()
+
+    def test_worker_edit_error_is_the_blocks_error(self):
+        """An edit a worker cannot apply comes back as its block's error
+        reply; the pool is reaped and the next run reforks from the
+        parent's circuit, matching serial again."""
+        sess = Session(synth_with_cases(60, 1), jobs=2)
+        serial = Session(synth_with_cases(60, 1))
+        try:
+            sess.verify()
+            serial.verify()
+            edit = WireDelayEdit("S0 CORR 1", (0.0, 9.0))
+            sess.edit(edit, _FailsInWorkers(os.getpid()))
+            with pytest.raises(RuntimeError, match=r"case block 0\.\.2"):
+                sess.reverify(prescreen=False)
+            assert not sess._pool.started
+            got = sess.reverify(prescreen=False).result
+            assert got.pool.pool_starts == 2
+            assert_equivalent(serial.edit(edit).verify(), got)
+        finally:
+            sess.close()
+
+
+@dataclass(frozen=True)
+class _FailsInWorkers:
+    """An edit that applies (as a no-op) in the parent only."""
+
+    parent: int
+
+    def apply(self, circuit, pending) -> None:
+        if os.getpid() != self.parent:
+            raise NetlistError("edit refused outside the parent")
 
 
 class TestConstrainedParallel:

@@ -241,3 +241,32 @@ class TestPooledSessionDirt:
             assert pooled.structure_warnings == want.structure_warnings
         finally:
             session.close()
+
+    def test_an_edit_that_raises_is_not_shipped(self):
+        """Edits before a failing one in the same call are applied in the
+        parent, so the workers must get exactly those."""
+        from repro.incremental import WireDelayEdit
+        from repro.netlist.circuit import NetlistError
+        from repro.workloads.synth import SynthConfig, generate
+
+        def circuit():
+            c, _ = generate(SynthConfig(chips=60, seed=1)).circuit()
+            for k in range(4):
+                c.add_case_by_name({"MUX CTL .S0-8": k % 2})
+            return c
+
+        good = WireDelayEdit("S0 CORR 1", (0.0, 9.0))
+        session = Session(circuit(), jobs=2)
+        serial = Session(circuit())
+        try:
+            session.verify()
+            serial.verify()
+            with pytest.raises(NetlistError):
+                session.edit(good, WireDelayEdit("NO SUCH NET", (0.0, 1.0)))
+            pooled = session.reverify(prescreen=False).result
+            assert pooled.pool.edits_shipped == 1
+            want = serial.edit(good).reverify(prescreen=False).result
+            assert pooled.error_listing() == want.error_listing()
+            assert pooled.summary_listing(case=3) == want.summary_listing(case=3)
+        finally:
+            session.close()

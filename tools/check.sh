@@ -408,6 +408,88 @@ print(f"ok: synth chips=1000 100-edit stream, prescreen == scratch every "
       f"{sorted(swept)[50]}, max {max(swept)})")
 EOF
 
+# The same stream on the same design with eight cases (the case set
+# perfbench's case_pool appends), once serially and once over a two-
+# worker pool.  Every case re-enters from its own fixed point: every
+# tenth reverify is policed against scratch, every case's summary
+# listing included, and the pooled error and cross-reference listings
+# must equal the serial ones at every edit.
+python - <<'EOF'
+import random
+
+from repro import Session
+from repro.incremental import (
+    ParamEdit,
+    WireDelayEdit,
+    assert_incremental_equivalent,
+)
+from repro.workloads.synth import SynthConfig, generate
+
+
+def design():
+    circuit, _ = generate(SynthConfig(chips=1000, seed=1980)).circuit()
+    for k in range(8):
+        circuit.add_case_by_name(
+            {f"PRIMARY {i} .S0-6": (k >> (i % 3)) % 2 for i in range(8)}
+        )
+    return circuit
+
+
+serial = Session(design())
+pooled = Session(design(), jobs=2)
+circuit = serial.circuit
+serial.verify()
+pooled.verify()
+read = {
+    circuit.find(conn.net).name
+    for comp in circuit.iter_components()
+    for _pin, conn in comp.input_pins()
+}
+nets = sorted(
+    n.name for n in circuit.representatives()
+    if n.assertion is None and n.wire_delay_ps is None and n.name in read
+)
+delays = {
+    c.name: c.params["delay"]
+    for c in circuit.iter_components()
+    if not c.prim.is_checker and isinstance(c.params.get("delay"), tuple)
+}
+comps = sorted(delays)
+rng = random.Random(1980)
+pending = []
+events = []
+try:
+    for k in range(100):
+        if len(pending) >= 3:
+            edit = pending.pop(0)
+        elif k % 2:
+            net = rng.choice(nets)
+            edit = WireDelayEdit(net, (0.0, rng.choice((1.0, 4.0, 20.0))))
+            pending.append(WireDelayEdit(net, None))
+        else:
+            name = rng.choice(comps)
+            lo, hi = delays[name]
+            edit = ParamEdit(name, {"delay": (lo / 1000, hi / 1000 + rng.choice((0.5, 6.0, 30.0)))})
+            pending.append(ParamEdit(name, {"delay": (lo / 1000, hi / 1000)}))
+        serial.edit(edit)
+        pooled.edit(edit)
+        if k % 10 == 9:
+            want = assert_incremental_equivalent(serial).result
+            got = assert_incremental_equivalent(pooled).result
+        else:
+            want = serial.reverify().result
+            got = pooled.reverify().result
+        assert got.error_listing() == want.error_listing(), k
+        assert got.xref_assumed_stable == want.xref_assumed_stable, k
+        assert got.stats.events_by_case == want.stats.events_by_case, k
+        events.append(want.stats.events)
+finally:
+    pooled.close()
+print(f"ok: synth chips=1000 8 cases 100-edit stream, serial and jobs=2 "
+      f"== scratch every 10 edits, pooled == serial at every edit "
+      f"(events per reverify: median {sorted(events)[50]}, max {max(events)})")
+EOF
+
 echo
 echo "== scald-serve smoke: HTTP answers match the direct API =="
 # Start the server on an ephemeral port, drive a load/verify/edit/
